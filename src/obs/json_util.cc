@@ -4,43 +4,33 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
+#include <utility>
 
 namespace hybridflow {
+
+// Short escapes as (escape, character) pairs. The reader accepts all of
+// them; the writer skips the first, leaving '/' unescaped.
+constexpr char kShortEscapes[] = "//\"\"\\\\b\bf\fn\nr\rt\t";
 
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+    const char* pair = kShortEscapes + 2;
+    while (*pair != '\0' && pair[1] != c) {
+      pair += 2;
+    }
+    if (*pair != '\0') {
+      out += '\\';
+      out += pair[0];
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
+      out += buffer;
+    } else {
+      out.push_back(c);
     }
   }
   return out;
@@ -60,18 +50,50 @@ std::string JsonNumber(double value) {
   return buffer;
 }
 
+const JsonValue* JsonValue::Find(const std::string& key) const {
+  for (const auto& [name, value] : fields) {
+    if (name == key) {
+      return &value;
+    }
+  }
+  return nullptr;
+}
+
+double JsonValue::Num(const std::string& key, double fallback) const {
+  const JsonValue* value = Find(key);
+  return value != nullptr && value->kind == Kind::kNumber ? value->number : fallback;
+}
+
+std::string JsonValue::Str(const std::string& key) const {
+  const JsonValue* value = Find(key);
+  return value != nullptr && value->kind == Kind::kString ? value->text : std::string();
+}
+
 namespace {
 
-// Recursive-descent validator over the raw bytes (treats the input as
-// Latin-1; multi-byte UTF-8 passes through unexamined, which is fine for
-// validity checking of our own ASCII-producing exporters).
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& text) : text_(text) {}
+void AppendUtf8(unsigned code, std::string* out) {
+  if (code < 0x80) {
+    out->push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  }
+}
 
-  bool Validate(std::string* error) {
+// Recursive-descent parser over the raw bytes (treats the input as
+// Latin-1; multi-byte UTF-8 passes through unexamined, which is fine for
+// the repo's own ASCII-producing exporters).
+class JsonParser {
+ public:
+  explicit JsonParser(const std::string& text) : text_(text) {}
+
+  bool Parse(JsonValue* out, std::string* error) {
     SkipWhitespace();
-    if (!Value()) {
+    if (!Value(out)) {
       Fail(error);
       return false;
     }
@@ -96,32 +118,24 @@ class JsonValidator {
 
   char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
   bool AtEnd() const { return pos_ >= text_.size(); }
+  bool IsDigit() const { return std::isdigit(static_cast<unsigned char>(Peek())) != 0; }
 
   void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
+    while (!AtEnd() && std::string_view(" \t\n\r").find(text_[pos_]) != std::string_view::npos) {
+      ++pos_;
     }
   }
 
-  bool Literal(const char* word) {
-    size_t i = 0;
-    while (word[i] != '\0') {
-      if (pos_ + i >= text_.size() || text_[pos_ + i] != word[i]) {
-        message_ = "invalid literal";
-        return false;
-      }
-      ++i;
+  bool Literal(std::string_view word) {
+    if (text_.compare(pos_, word.size(), word) != 0) {
+      message_ = "invalid literal";
+      return false;
     }
-    pos_ += i;
+    pos_ += word.size();
     return true;
   }
 
-  bool String() {
+  bool String(std::string* out) {
     if (Peek() != '"') {
       message_ = "expected string";
       return false;
@@ -133,31 +147,33 @@ class JsonValidator {
         message_ = "raw control character in string";
         return false;
       }
+      ++pos_;
       if (c == '"') {
-        ++pos_;
         return true;
       }
-      if (c == '\\') {
+      if (c != '\\') {
+        out->push_back(c);
+      } else if (Peek() == 'u') {
         ++pos_;
-        const char esc = Peek();
-        if (esc == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + static_cast<size_t>(k) >= text_.size() ||
-                std::isxdigit(static_cast<unsigned char>(text_[pos_ + static_cast<size_t>(k)])) ==
-                    0) {
-              message_ = "bad \\u escape";
-              return false;
-            }
+        for (size_t k = 0; k < 4; ++k) {
+          if (std::isxdigit(static_cast<unsigned char>(
+                  pos_ + k < text_.size() ? text_[pos_ + k] : '\0')) == 0) {
+            message_ = "bad \\u escape";
+            return false;
           }
-          pos_ += 5;
-        } else if (esc == '"' || esc == '\\' || esc == '/' || esc == 'b' || esc == 'f' ||
-                   esc == 'n' || esc == 'r' || esc == 't') {
-          ++pos_;
-        } else {
+        }
+        AppendUtf8(static_cast<unsigned>(std::stoul(text_.substr(pos_, 4), nullptr, 16)), out);
+        pos_ += 4;
+      } else {
+        const char* pair = kShortEscapes;
+        while (*pair != '\0' && *pair != Peek()) {
+          pair += 2;
+        }
+        if (*pair == '\0') {
           message_ = "bad escape character";
           return false;
         }
-      } else {
+        out->push_back(pair[1]);
         ++pos_;
       }
     }
@@ -165,30 +181,32 @@ class JsonValidator {
     return false;
   }
 
-  bool Number() {
+  // Consumes one or more digits; `what` names them in the error.
+  bool Digits(const char* what) {
+    if (!IsDigit()) {
+      message_ = std::string("expected ") + what;
+      return false;
+    }
+    while (IsDigit()) {
+      ++pos_;
+    }
+    return true;
+  }
+
+  bool Number(double* out) {
     const size_t start = pos_;
     if (Peek() == '-') {
       ++pos_;
     }
-    if (std::isdigit(static_cast<unsigned char>(Peek())) == 0) {
-      message_ = "expected digit";
-      return false;
-    }
     if (Peek() == '0') {
       ++pos_;
-    } else {
-      while (std::isdigit(static_cast<unsigned char>(Peek())) != 0) {
-        ++pos_;
-      }
+    } else if (!Digits("digit")) {
+      return false;
     }
     if (Peek() == '.') {
       ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(Peek())) == 0) {
-        message_ = "expected fraction digits";
+      if (!Digits("fraction digits")) {
         return false;
-      }
-      while (std::isdigit(static_cast<unsigned char>(Peek())) != 0) {
-        ++pos_;
       }
     }
     if (Peek() == 'e' || Peek() == 'E') {
@@ -196,18 +214,15 @@ class JsonValidator {
       if (Peek() == '+' || Peek() == '-') {
         ++pos_;
       }
-      if (std::isdigit(static_cast<unsigned char>(Peek())) == 0) {
-        message_ = "expected exponent digits";
+      if (!Digits("exponent digits")) {
         return false;
       }
-      while (std::isdigit(static_cast<unsigned char>(Peek())) != 0) {
-        ++pos_;
-      }
     }
-    return pos_ > start;
+    *out = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    return true;
   }
 
-  bool Value() {
+  bool Value(JsonValue* out) {
     if (++depth_ > kMaxDepth) {
       message_ = "nesting too deep";
       return false;
@@ -215,50 +230,67 @@ class JsonValidator {
     bool ok = false;
     switch (Peek()) {
       case '{':
-        ok = Object();
+        out->kind = JsonValue::Kind::kObject;
+        ok = Members(out, '}');
         break;
       case '[':
-        ok = Array();
+        out->kind = JsonValue::Kind::kArray;
+        ok = Members(out, ']');
         break;
       case '"':
-        ok = String();
+        out->kind = JsonValue::Kind::kString;
+        ok = String(&out->text);
         break;
       case 't':
+        out->kind = JsonValue::Kind::kBool;
+        out->boolean = true;
         ok = Literal("true");
         break;
       case 'f':
+        out->kind = JsonValue::Kind::kBool;
         ok = Literal("false");
         break;
       case 'n':
         ok = Literal("null");
         break;
       default:
-        ok = Number();
+        out->kind = JsonValue::Kind::kNumber;
+        ok = Number(&out->number);
     }
     --depth_;
     return ok;
   }
 
-  bool Object() {
-    ++pos_;  // '{'
+  // The comma-separated members of an object (`close` '}') or the items of
+  // an array (`close` ']'), after the opening bracket.
+  bool Members(JsonValue* out, char close) {
+    const bool object = close == '}';
+    ++pos_;
     SkipWhitespace();
-    if (Peek() == '}') {
+    if (Peek() == close) {
       ++pos_;
       return true;
     }
     for (;;) {
       SkipWhitespace();
-      if (!String()) {
-        return false;
+      JsonValue* value = nullptr;
+      if (object) {
+        std::string key;
+        if (!String(&key)) {
+          return false;
+        }
+        SkipWhitespace();
+        if (Peek() != ':') {
+          message_ = "expected ':' in object";
+          return false;
+        }
+        ++pos_;
+        SkipWhitespace();
+        value = &out->fields.emplace_back(std::move(key), JsonValue()).second;
+      } else {
+        value = &out->items.emplace_back();
       }
-      SkipWhitespace();
-      if (Peek() != ':') {
-        message_ = "expected ':' in object";
-        return false;
-      }
-      ++pos_;
-      SkipWhitespace();
-      if (!Value()) {
+      if (!Value(value)) {
         return false;
       }
       SkipWhitespace();
@@ -266,37 +298,11 @@ class JsonValidator {
         ++pos_;
         continue;
       }
-      if (Peek() == '}') {
+      if (Peek() == close) {
         ++pos_;
         return true;
       }
-      message_ = "expected ',' or '}' in object";
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWhitespace();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      SkipWhitespace();
-      if (!Value()) {
-        return false;
-      }
-      SkipWhitespace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      message_ = "expected ',' or ']' in array";
+      message_ = object ? "expected ',' or '}' in object" : "expected ',' or ']' in array";
       return false;
     }
   }
@@ -309,8 +315,14 @@ class JsonValidator {
 
 }  // namespace
 
+bool JsonParse(const std::string& text, JsonValue* out, std::string* error) {
+  *out = JsonValue();
+  return JsonParser(text).Parse(out, error);
+}
+
 bool JsonValidate(const std::string& text, std::string* error) {
-  return JsonValidator(text).Validate(error);
+  JsonValue discarded;
+  return JsonParse(text, &discarded, error);
 }
 
 }  // namespace hybridflow

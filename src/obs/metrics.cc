@@ -30,41 +30,19 @@ std::string KeyOf(const std::string& name, const MetricLabels& canonical) {
   return key;
 }
 
-std::string LabelsJson(const MetricLabels& labels) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [label, value] : labels) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += '"';
-    out += JsonEscape(label);
-    out += "\":\"";
-    out += JsonEscape(value);
-    out += '"';
-  }
-  out += "}";
-  return out;
-}
-
-std::string LabelsText(const MetricLabels& labels) {
+// A label set as a JSON object (`json`) or as the text exporter's
+// {k=v,...} suffix, which is empty for no labels.
+std::string FormatLabels(const MetricLabels& labels, bool json) {
   if (labels.empty()) {
-    return "";
+    return json ? "{}" : "";
   }
-  std::string out = "{";
-  bool first = true;
+  std::string out;
   for (const auto& [label, value] : labels) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += label;
-    out += '=';
-    out += value;
+    out += out.empty() ? "{" : ",";
+    out += json ? '"' + JsonEscape(label) + "\":\"" + JsonEscape(value) + '"'
+                : label + '=' + value;
   }
-  out += "}";
-  return out;
+  return out + "}";
 }
 
 }  // namespace
@@ -93,11 +71,11 @@ std::vector<uint64_t> Histogram::BucketCounts() const {
   return counts;
 }
 
-double Histogram::SnapshotQuantile(double q) const {
-  if (bounds_.empty()) {
+double Histogram::BucketQuantile(const std::vector<double>& bounds,
+                                 const std::vector<uint64_t>& counts, double q) {
+  if (bounds.empty()) {
     return 0.0;
   }
-  const std::vector<uint64_t> counts = BucketCounts();
   uint64_t total = 0;
   for (uint64_t bucket_count : counts) {
     total += bucket_count;
@@ -115,17 +93,17 @@ double Histogram::SnapshotQuantile(double q) const {
     if (cumulative < rank) {
       continue;
     }
-    if (i >= bounds_.size()) {
+    if (i >= bounds.size()) {
       // Overflow bucket: no finite upper edge to interpolate toward.
-      return bounds_.back();
+      return bounds.back();
     }
-    const double upper = bounds_[i];
-    const double lower = i == 0 ? std::min(0.0, upper) : bounds_[i - 1];
+    const double upper = bounds[i];
+    const double lower = i == 0 ? std::min(0.0, upper) : bounds[i - 1];
     const double fraction =
         static_cast<double>(rank - below) / static_cast<double>(counts[i]);
     return lower + (upper - lower) * fraction;
   }
-  return bounds_.back();
+  return bounds.back();
 }
 
 std::vector<double> ExponentialBuckets(double start, double factor, int count) {
@@ -256,16 +234,16 @@ std::string MetricsRegistry::ToJsonLines() const {
     out << "{\"name\":\"" << JsonEscape(entry->name) << "\",";
     switch (entry->kind) {
       case Kind::kCounter:
-        out << "\"type\":\"counter\",\"labels\":" << LabelsJson(entry->labels)
+        out << "\"type\":\"counter\",\"labels\":" << FormatLabels(entry->labels, /*json=*/true)
             << ",\"value\":" << JsonNumber(entry->counter->Value());
         break;
       case Kind::kGauge:
-        out << "\"type\":\"gauge\",\"labels\":" << LabelsJson(entry->labels)
+        out << "\"type\":\"gauge\",\"labels\":" << FormatLabels(entry->labels, /*json=*/true)
             << ",\"value\":" << JsonNumber(entry->gauge->Value());
         break;
       case Kind::kHistogram: {
         const Histogram& histogram = *entry->histogram;
-        out << "\"type\":\"histogram\",\"labels\":" << LabelsJson(entry->labels)
+        out << "\"type\":\"histogram\",\"labels\":" << FormatLabels(entry->labels, /*json=*/true)
             << ",\"count\":" << histogram.TotalCount()
             << ",\"sum\":" << JsonNumber(histogram.Sum()) << ",\"buckets\":[";
         const std::vector<uint64_t> counts = histogram.BucketCounts();
@@ -285,7 +263,7 @@ std::string MetricsRegistry::ToJsonLines() const {
       }
       case Kind::kQuantile: {
         const QuantileSnapshot snapshot = entry->quantile->Snapshot();
-        out << "\"type\":\"quantile\",\"labels\":" << LabelsJson(entry->labels)
+        out << "\"type\":\"quantile\",\"labels\":" << FormatLabels(entry->labels, /*json=*/true)
             << ",\"relative_error\":" << JsonNumber(snapshot.relative_error)
             << ",\"count\":" << snapshot.count << ",\"sum\":" << JsonNumber(snapshot.sum)
             << ",\"min\":" << JsonNumber(snapshot.min) << ",\"max\":" << JsonNumber(snapshot.max)
@@ -303,7 +281,7 @@ std::string MetricsRegistry::ToJsonLines() const {
 std::string MetricsRegistry::ToText() const {
   std::ostringstream out;
   for (const Entry* entry : SortedEntries()) {
-    out << entry->name << LabelsText(entry->labels) << " = ";
+    out << entry->name << FormatLabels(entry->labels, /*json=*/false) << " = ";
     switch (entry->kind) {
       case Kind::kCounter:
         out << JsonNumber(entry->counter->Value()) << " (counter)";

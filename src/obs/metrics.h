@@ -89,7 +89,12 @@ class Histogram {
   // bucket reported as bounds().back() (the largest finite edge). Accuracy
   // is therefore bounded by bucket width — use QuantileHistogram when a
   // relative-error guarantee is needed. Returns 0 when empty.
-  double SnapshotQuantile(double q) const;
+  double SnapshotQuantile(double q) const { return BucketQuantile(bounds_, BucketCounts(), q); }
+
+  // SnapshotQuantile over explicit `bounds` and `counts` (one more entry
+  // than `bounds`: the overflow bucket), e.g. read back from a metrics dump.
+  static double BucketQuantile(const std::vector<double>& bounds,
+                               const std::vector<uint64_t>& counts, double q);
 
  private:
   friend class MetricsRegistry;

@@ -1,10 +1,22 @@
 #include "src/rollout/engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/rollout/step_driver.h"
 
 namespace hybridflow {
+
+RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options) {
+  RolloutSchedulerConfig config;
+  config.policy = options.policy;
+  config.reserve_tokens = options.reserve_tokens;
+  config.max_running = options.max_running;
+  config.prefill_chunk_tokens = options.prefill_chunk_tokens;
+  config.reserve_full_length = options.reserve_full_length;
+  return config;
+}
 
 void RolloutStats::Merge(const RolloutStats& other) {
   steps += other.steps;
@@ -37,32 +49,7 @@ RolloutStats RolloutStatsCollector::Snapshot() const {
 
 RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
                              const RolloutOptions& options, int kv_ranks)
-    : net_(net),
-      limits_(limits),
-      options_(options),
-      kv_ranks_(kv_ranks),
-      steps_total_(MetricsRegistry::Global().GetCounter("rollout.steps_total",
-                                                        {{"plane", "data"}})),
-      admissions_total_(MetricsRegistry::Global().GetCounter("rollout.admissions_total",
-                                                             {{"plane", "data"}})),
-      preemptions_total_(MetricsRegistry::Global().GetCounter("rollout.preemptions_total",
-                                                              {{"plane", "data"}})),
-      queue_wait_steps_(MetricsRegistry::Global().GetHistogram(
-          "rollout.queue_wait_steps", ExponentialBuckets(1, 2, 10), {{"plane", "data"}})),
-      running_batch_(MetricsRegistry::Global().GetHistogram(
-          "rollout.running_batch", ExponentialBuckets(1, 2, 10), {{"plane", "data"}})),
-      kv_utilization_(MetricsRegistry::Global().GetHistogram(
-          "rollout.kv_utilization", LinearBuckets(0.1, 0.1, 10), {{"plane", "data"}})),
-      ttft_us_(MetricsRegistry::Global().GetQuantileHistogram(
-          "rollout.ttft_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
-      tpot_us_(MetricsRegistry::Global().GetQuantileHistogram(
-          "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
-      prefix_hits_total_(MetricsRegistry::Global().GetCounter("kvcache.prefix_hits_total",
-                                                              {{"plane", "data"}})),
-      cow_splits_total_(MetricsRegistry::Global().GetCounter("kvcache.cow_splits_total",
-                                                             {{"plane", "data"}})),
-      shared_blocks_(MetricsRegistry::Global().GetGauge("kvcache.shared_blocks",
-                                                        {{"plane", "data"}})) {
+    : net_(net), limits_(limits), options_(options), kv_ranks_(kv_ranks) {
   HF_CHECK_GT(kv_ranks_, 0);
   HF_CHECK_GT(options_.block_tokens, 0);
   HF_CHECK_GE(limits_.max_new_tokens, 0);
@@ -70,6 +57,24 @@ RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
 
 RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& prompts,
                                       bool do_sample, double temperature, Rng& rng) const {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const MetricLabels data{{"plane", "data"}};
+  Counter& steps_total = registry.GetCounter("rollout.steps_total", data);
+  Counter& admissions_total = registry.GetCounter("rollout.admissions_total", data);
+  Counter& preemptions_total = registry.GetCounter("rollout.preemptions_total", data);
+  Histogram& queue_wait_steps =
+      registry.GetHistogram("rollout.queue_wait_steps", ExponentialBuckets(1, 2, 10), data);
+  Histogram& running_batch =
+      registry.GetHistogram("rollout.running_batch", ExponentialBuckets(1, 2, 10), data);
+  Histogram& kv_utilization =
+      registry.GetHistogram("rollout.kv_utilization", LinearBuckets(0.1, 0.1, 10), data);
+  QuantileHistogram& ttft_us = registry.GetQuantileHistogram(
+      "rollout.ttft_us", QuantileHistogram::kDefaultRelativeError, data);
+  QuantileHistogram& tpot_us = registry.GetQuantileHistogram(
+      "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, data);
+  Counter& prefix_hits_total = registry.GetCounter("kvcache.prefix_hits_total", data);
+  Counter& cow_splits_total = registry.GetCounter("kvcache.cow_splits_total", data);
+  Gauge& shared_blocks = registry.GetGauge("kvcache.shared_blocks", data);
   const size_t batch = prompts.size();
   RolloutShardResult result;
   result.responses.resize(batch);
@@ -79,144 +84,62 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
     return result;
   }
 
-  // KV geometry: auto-size to fit the whole shard at full length when
-  // unset; otherwise honor the configured budget but always fit the
-  // largest single sequence (the scheduler's progress contract).
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = options_.block_tokens;
-  kv_config.enable_prefix_cache = options_.enable_prefix_cache;
-  int64_t fit_all = 0;
-  int64_t fit_largest = 0;
-  for (const std::vector<int64_t>& prompt : prompts) {
-    const int64_t full = static_cast<int64_t>(prompt.size()) + limits_.max_new_tokens;
-    const int64_t blocks = (full + kv_config.block_tokens - 1) / kv_config.block_tokens;
-    fit_all += blocks;
-    fit_largest = std::max(fit_largest, blocks);
-  }
-  kv_config.num_blocks =
-      options_.num_blocks > 0 ? std::max(options_.num_blocks, fit_largest) : fit_all;
-  DistributedKvManager kv(kv_ranks_, kv_config);
-
+  // KV geometry: num_blocks == 0 fits the whole shard at full length.
+  StepDriverConfig config;
+  config.scheduler = ToSchedulerConfig(options_);
+  config.kv.block_tokens = options_.block_tokens;
+  config.kv.num_blocks = options_.num_blocks;
+  config.kv.enable_prefix_cache = options_.enable_prefix_cache;
+  config.kv_ranks = kv_ranks_;
+  config.event_log = options_.event_log;
+  config.on_step = [&](const StepPlan& plan, double utilization) {
+    running_batch.Observe(static_cast<double>(plan.rows()));
+    kv_utilization.Observe(utilization);
+  };
   std::vector<RolloutSequence> sequences(batch);
-  std::vector<IncrementalContext> contexts_by_id;
-  std::vector<Rng> sequence_rngs;
-  contexts_by_id.reserve(batch);
-  sequence_rngs.reserve(batch);
-  RolloutSchedulerConfig scheduler_config;
-  scheduler_config.policy = options_.policy;
-  scheduler_config.reserve_tokens = options_.reserve_tokens;
-  scheduler_config.max_running = options_.max_running;
-  scheduler_config.prefill_chunk_tokens = options_.prefill_chunk_tokens;
-  scheduler_config.reserve_full_length = options_.reserve_full_length;
-  RolloutScheduler scheduler(scheduler_config, &kv, &sequences);
-  // Opt-in lifecycle recording: a distinct run id per engine call keeps
-  // concurrent per-rank shards apart in the shared log.
-  const int64_t event_run =
-      options_.event_log != nullptr ? options_.event_log->BeginRun() : 0;
-  scheduler.SetEventLog(options_.event_log, event_run);
+  DataStepBackend backend(net_, do_sample, temperature, /*seconds_per_step=*/0.0,
+                          limits_.use_eos ? limits_.eos_token : -1);
   for (size_t i = 0; i < batch; ++i) {
     RolloutSequence& sequence = sequences[i];
-    sequence.id = static_cast<int64_t>(i);
     sequence.prompt_tokens = static_cast<int64_t>(prompts[i].size());
     sequence.target_new_tokens = limits_.max_new_tokens;
     if (options_.enable_prefix_cache) {
       // Content identity for the prefix cache: identical prompt prefixes
       // (e.g. group sampling's n copies of one prompt) share blocks.
-      sequence.block_hashes = PromptBlockHashes(prompts[i], kv_config.block_tokens);
+      sequence.block_hashes = PromptBlockHashes(prompts[i], options_.block_tokens);
     }
-    contexts_by_id.emplace_back(prompts[i], net_.config().context_window);
-    sequence_rngs.push_back(rng.Fork(static_cast<uint64_t>(i)));
-    result.responses[i].reserve(static_cast<size_t>(limits_.max_new_tokens));
-    result.log_probs[i].reserve(static_cast<size_t>(limits_.max_new_tokens));
-    scheduler.Enqueue(sequence.id);
+    backend.AddSequence(prompts[i], rng.Fork(static_cast<uint64_t>(i)));
   }
+  StepDriver driver(config, std::move(sequences));
+  driver.Run(backend);
 
-  while (scheduler.HasWork()) {
-    const StepPlan plan = scheduler.BeginStep();
-
-    // KV pressure right after admission is the step's peak residency.
-    const KvBlockManager& rank0 = kv.rank(0);
-    const double utilization =
-        kv_config.num_blocks > 0
-            ? static_cast<double>(rank0.used_blocks()) / static_cast<double>(kv_config.num_blocks)
-            : 0.0;
-    result.stats.kv_peak_utilization =
-        std::max(result.stats.kv_peak_utilization, utilization);
-    running_batch_.Observe(static_cast<double>(plan.rows()));
-    kv_utilization_.Observe(utilization);
-
-    // Only rows that caught up with their full context run the LM head:
-    // partial prefill chunks (chunked prefill) do compute but emit nothing.
-    std::vector<int64_t> rows;
-    rows.reserve(static_cast<size_t>(plan.rows()));
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        rows.push_back(chunk.id);
-      }
-    }
-    rows.insert(rows.end(), plan.decode.begin(), plan.decode.end());
-    std::vector<std::vector<int64_t>> step_contexts;
-    step_contexts.reserve(rows.size());
-    for (int64_t id : rows) {
-      step_contexts.push_back(contexts_by_id[static_cast<size_t>(id)].tokens());
-    }
-
-    std::vector<int64_t> eos_finished;
-    const Tensor logits = rows.empty() ? Tensor() : net_.Forward(step_contexts);
-    for (size_t a = 0; a < rows.size(); ++a) {
-      const int64_t id = rows[a];
-      float log_prob = 0.0f;
-      const int64_t token =
-          SampleLogitsRow(logits, static_cast<int64_t>(a), temperature, do_sample,
-                          sequence_rngs[static_cast<size_t>(id)], &log_prob);
-      result.responses[static_cast<size_t>(id)].push_back(token);
-      result.log_probs[static_cast<size_t>(id)].push_back(log_prob);
-      contexts_by_id[static_cast<size_t>(id)].Push(token);
-      if (limits_.use_eos && token == limits_.eos_token) {
-        eos_finished.push_back(id);
-      }
-    }
-    scheduler.CommitStep(plan, eos_finished);
-  }
-
-  const RolloutSchedulerStats& scheduler_stats = scheduler.stats();
-  result.stats.steps = scheduler_stats.steps;
-  result.stats.admissions = scheduler_stats.admissions;
-  result.stats.preemptions = scheduler_stats.preemptions;
-  result.stats.max_running_batch = scheduler_stats.max_running;
-  result.stats.prefill_chunks = scheduler_stats.prefill_chunks;
-  result.stats.max_prefill_tokens_step = scheduler_stats.max_prefill_tokens_step;
-  result.stats.resumes = scheduler_stats.resumes;
-  result.stats.recomputed_tokens = scheduler_stats.recomputed_tokens;
-  result.stats.kv_high_water_blocks = kv.high_water_blocks();
-  result.stats.prefix_skipped_tokens = scheduler_stats.prefix_skipped_tokens;
-  result.stats.cow_splits = kv.rank(0).cow_splits_total();
-  result.stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();
-  prefix_hits_total_.Increment(static_cast<double>(kv.rank(0).prefix_hit_tokens_total()));
-  cow_splits_total_.Increment(static_cast<double>(result.stats.cow_splits));
-  shared_blocks_.Set(static_cast<double>(result.stats.shared_blocks_high_water));
+  result.responses = std::move(backend.responses());
+  result.log_probs = std::move(backend.log_probs());
+  result.stats = driver.Stats();
+  const KvBlockManager& rank0 = driver.kv().rank(0);
+  prefix_hits_total.Increment(static_cast<double>(rank0.prefix_hit_tokens_total()));
+  cow_splits_total.Increment(static_cast<double>(result.stats.cow_splits));
+  shared_blocks.Set(static_cast<double>(result.stats.shared_blocks_high_water));
   if (options_.event_log != nullptr) {
     // Wall-clock per-sequence latency distributions for this shard's run.
-    for (const SeqLatency& latency :
-         DeriveSeqLatencies(options_.event_log->SnapshotRun(event_run), /*wall=*/true)) {
+    for (const SeqLatency& latency : DeriveSeqLatencies(
+             options_.event_log->SnapshotRun(driver.event_run()), /*wall=*/true)) {
       if (latency.tokens >= 1) {
-        ttft_us_.Observe(latency.ttft);
+        ttft_us.Observe(latency.ttft);
       }
       if (latency.tokens >= 2) {
-        tpot_us_.Observe(latency.tpot);
+        tpot_us.Observe(latency.tpot);
       }
     }
   }
-  for (const RolloutSequence& sequence : sequences) {
+  for (const RolloutSequence& sequence : driver.sequences()) {
     HF_CHECK(sequence.state == SequenceState::kFinished);
-    const int64_t wait = std::max<int64_t>(sequence.first_admit_step - sequence.enqueue_step, 0);
-    result.stats.queue_wait_steps_total += wait;
-    result.stats.queue_wait_steps_max = std::max(result.stats.queue_wait_steps_max, wait);
-    queue_wait_steps_.Observe(static_cast<double>(wait));
+    queue_wait_steps.Observe(static_cast<double>(
+        std::max<int64_t>(sequence.first_admit_step - sequence.enqueue_step, 0)));
   }
-  steps_total_.Increment(static_cast<double>(result.stats.steps));
-  admissions_total_.Increment(static_cast<double>(result.stats.admissions));
-  preemptions_total_.Increment(static_cast<double>(result.stats.preemptions));
+  steps_total.Increment(static_cast<double>(result.stats.steps));
+  admissions_total.Increment(static_cast<double>(result.stats.admissions));
+  preemptions_total.Increment(static_cast<double>(result.stats.preemptions));
   return result;
 }
 

@@ -1,8 +1,9 @@
-// RolloutEngine: the data-plane continuous-batching generation loop.
+// RolloutEngine: data-plane continuous-batching generation.
 //
-// Drives the real PolicyNet over dynamically composed batches (mixed
-// prefill + decode rows chosen by RolloutScheduler against a real
-// DistributedKvManager). The per-row forward is independent of batch
+// Runs a closed batch of prompts through the StepDriver's data backend
+// (src/rollout/step_driver.h): the real PolicyNet over dynamically composed
+// batches (mixed prefill + decode rows chosen by RolloutScheduler against a
+// real DistributedKvManager). The per-row forward is independent of batch
 // composition and token selection goes through the shared SampleLogitsRow,
 // so greedy decoding produces bitwise-identical responses and log-probs to
 // the static path regardless of schedule, admission order, or preemption.
@@ -71,6 +72,9 @@ struct RolloutOptions {
   // this sink only controls whether the raw events outlive the call.
   SeqEventLog* sim_event_log = nullptr;
 };
+
+// The scheduler knobs of `options`.
+RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options);
 
 // Termination rules for one generation call (mirrors AlignmentTask's
 // response_len / use_eos without depending on hf_data).
@@ -145,18 +149,6 @@ class RolloutEngine {
   RolloutLimits limits_;
   RolloutOptions options_;
   int kv_ranks_;
-  // Cached registry handles (hot loop; see src/obs/metrics.h).
-  Counter& steps_total_;
-  Counter& admissions_total_;
-  Counter& preemptions_total_;
-  Histogram& queue_wait_steps_;
-  Histogram& running_batch_;
-  Histogram& kv_utilization_;
-  QuantileHistogram& ttft_us_;
-  QuantileHistogram& tpot_us_;
-  Counter& prefix_hits_total_;
-  Counter& cow_splits_total_;
-  Gauge& shared_blocks_;
 };
 
 }  // namespace hybridflow

@@ -11,8 +11,8 @@
 //
 // Contract: every enqueued sequence must fit alone at full length
 // (BlocksFor(prompt + target_new_tokens) <= num_blocks per rank);
-// otherwise it would preempt itself forever. RolloutEngine and the timing
-// simulator size or validate the cache accordingly.
+// otherwise it would preempt itself forever. StepDriver sizes the cache
+// accordingly.
 #ifndef SRC_ROLLOUT_SCHEDULER_H_
 #define SRC_ROLLOUT_SCHEDULER_H_
 

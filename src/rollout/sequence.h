@@ -2,9 +2,9 @@
 // (vLLM/ScaleLLM-style, adapted to the dual-plane design; docs/ROLLOUT.md).
 //
 // A RolloutSequence is *count-based* metadata only — prompt/response token
-// counts, lifecycle state, and KV residency — so the same scheduler drives
-// both the real data plane (RolloutEngine over the toy PolicyNet) and the
-// simulated performance plane (SimulateContinuousGeneration over PerfModel).
+// counts, lifecycle state, and KV residency — so the same scheduler and
+// StepDriver run both the real data plane (over the toy PolicyNet) and the
+// simulated performance plane (over PerfModel).
 #ifndef SRC_ROLLOUT_SEQUENCE_H_
 #define SRC_ROLLOUT_SEQUENCE_H_
 

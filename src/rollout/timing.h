@@ -1,8 +1,9 @@
-// Performance-plane hook of the rollout engine: replays the same
-// RolloutScheduler over *nominal* (full-scale) sequence lengths and charges
-// each step's prefill/decode/comm cost through PerfModel, replacing the
-// closed-form wave approximation of PerfModel::GenerateTime when continuous
-// batching is enabled. KV-pressure effects (waves, preemption, tail
+// Performance-plane hook of the rollout engine: runs a closed batch of
+// *nominal* (full-scale) sequence lengths through the StepDriver's sim
+// backend (src/rollout/step_driver.h) — the same RolloutScheduler, with
+// each step's prefill/decode/comm cost charged through PerfModel —
+// replacing the closed-form wave approximation of PerfModel::GenerateTime
+// when continuous batching is enabled. KV-pressure effects (waves, preemption, tail
 // stragglers) emerge from actual block-granular scheduling.
 #ifndef SRC_ROLLOUT_TIMING_H_
 #define SRC_ROLLOUT_TIMING_H_
@@ -43,10 +44,10 @@ struct RolloutSimResult {
 
 // Simulates continuous-batching generation of `sequences` on one model
 // replica (sharded per `gen` over `replica_devices`) with a per-GPU KV
-// budget of `kv_budget_bytes`. Block geometry follows GenerateTime's
-// convention (16-token blocks, KvBytesPerTokenPerGpu), raised if needed so
-// the longest sequence fits alone. Preempted sequences recompute their
-// context on resume, charged as prefill.
+// budget of `kv_budget_bytes` (SimKvConfig: GenerateTime's 16-token blocks
+// of KvBytesPerTokenPerGpu, raised if needed so the longest sequence fits
+// alone). Preempted sequences recompute their context on resume, charged
+// as prefill.
 RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
                                               const GenParallelConfig& gen,
                                               const std::vector<DeviceId>& replica_devices,

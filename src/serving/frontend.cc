@@ -1,28 +1,16 @@
 #include "src/serving/frontend.h"
 
-#include <algorithm>
-#include <limits>
-#include <map>
 #include <string>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/serving/sim.h"
 
 namespace hybridflow {
 
 ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config,
                                  int kv_ranks)
-    : net_(net),
-      config_(config),
-      kv_ranks_(kv_ranks),
-      requests_total_(MetricsRegistry::Global().GetCounter("serving.requests_total",
-                                                           {{"plane", "data"}})),
-      finished_total_(MetricsRegistry::Global().GetCounter("serving.finished_total",
-                                                           {{"plane", "data"}})),
-      cancelled_total_(MetricsRegistry::Global().GetCounter("serving.cancelled_total",
-                                                            {{"plane", "data"}})),
-      expired_total_(MetricsRegistry::Global().GetCounter("serving.expired_total",
-                                                          {{"plane", "data"}})) {
+    : net_(net), config_(config), kv_ranks_(kv_ranks) {
   HF_CHECK_GT(kv_ranks_, 0);
   HF_CHECK_GT(config_.block_tokens, 0);
   HF_CHECK_GT(config_.seconds_per_step, 0.0);
@@ -31,237 +19,71 @@ ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConf
 ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests, bool do_sample,
                                      double temperature, Rng& rng,
                                      const StreamCallback& on_token) {
+  // Aggregate counters; the per-tenant ones are resolved after the run.
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const MetricLabels data{{"plane", "data"}};
+  Counter& finished_total = registry.GetCounter("serving.finished_total", data);
+  Counter& cancelled_total = registry.GetCounter("serving.cancelled_total", data);
+  Counter& expired_total = registry.GetCounter("serving.expired_total", data);
   const size_t count = requests.size();
   ServingResult result;
   result.records.resize(count);
-  requests_total_.Increment(static_cast<double>(count));
+  registry.GetCounter("serving.requests_total", data).Increment(static_cast<double>(count));
   if (count == 0) {
     return result;
   }
 
-  // KV geometry as in RolloutEngine::Run: auto-size to fit everything when
-  // unset, else honor the budget but fit the largest request alone.
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = config_.block_tokens;
-  kv_config.enable_prefix_cache = config_.prefix_cache;
-  int64_t fit_all = 0;
-  int64_t fit_largest = 0;
-  for (const ServingRequest& request : requests) {
-    HF_CHECK_EQ(request.id, static_cast<int64_t>(&request - requests.data()));
-    HF_CHECK_GT(request.max_new_tokens, 0);
-    HF_CHECK(!request.prompt.empty());
-    const int64_t full = static_cast<int64_t>(request.prompt.size()) + request.max_new_tokens;
-    const int64_t blocks = (full + kv_config.block_tokens - 1) / kv_config.block_tokens;
-    fit_all += blocks;
-    fit_largest = std::max(fit_largest, blocks);
-  }
-  kv_config.num_blocks =
-      config_.num_blocks > 0 ? std::max(config_.num_blocks, fit_largest) : fit_all;
-  DistributedKvManager kv(kv_ranks_, kv_config);
-
+  // KV geometry: num_blocks == 0 fits every request at full length.
+  StepDriverConfig config;
+  config.scheduler = ToSchedulerConfig(config_.scheduler);
+  config.kv.block_tokens = config_.block_tokens;
+  config.kv.num_blocks = config_.num_blocks;
+  config.kv.enable_prefix_cache = config_.scheduler.prefix_cache;
+  config.kv_ranks = kv_ranks_;
+  config.event_log = config_.event_log;
+  DataStepBackend backend(net_, do_sample, temperature, config_.seconds_per_step,
+                          /*eos_token=*/-1, on_token);
   std::vector<RolloutSequence> sequences(count);
-  std::vector<IncrementalContext> contexts;
-  std::vector<Rng> request_rngs;
-  contexts.reserve(count);
-  request_rngs.reserve(count);
-  RolloutScheduler scheduler(ToSchedulerConfig(config_.scheduler), &kv, &sequences);
-  const int64_t event_run =
-      config_.event_log != nullptr ? config_.event_log->BeginRun() : 0;
-  scheduler.SetEventLog(config_.event_log, event_run);
-
-  // Arrival replay order; request ids index `sequences` directly.
-  std::vector<int64_t> by_arrival(count);
-  for (size_t i = 0; i < count; ++i) {
-    by_arrival[i] = static_cast<int64_t>(i);
-  }
-  std::stable_sort(by_arrival.begin(), by_arrival.end(), [&requests](int64_t a, int64_t b) {
-    return requests[static_cast<size_t>(a)].arrival < requests[static_cast<size_t>(b)].arrival;
-  });
-
-  std::vector<double> last_token_time(count, 0.0);
-  std::vector<bool> client_cancelled(count, false);
+  std::vector<RequestArrival> arrivals(count);
   for (size_t i = 0; i < count; ++i) {
     const ServingRequest& request = requests[i];
+    HF_CHECK_EQ(request.id, static_cast<int64_t>(i));
+    HF_CHECK_GT(request.max_new_tokens, 0);
+    HF_CHECK(!request.prompt.empty());
     RolloutSequence& sequence = sequences[i];
-    sequence.id = request.id;
     sequence.prompt_tokens = static_cast<int64_t>(request.prompt.size());
     sequence.target_new_tokens = request.max_new_tokens;
     sequence.tenant = request.tenant;
     sequence.priority = request.priority;
     sequence.ttft_deadline = request.ttft_deadline;
-    if (config_.prefix_cache) {
-      sequence.block_hashes = PromptBlockHashes(request.prompt, kv_config.block_tokens);
+    if (config_.scheduler.prefix_cache) {
+      sequence.block_hashes = PromptBlockHashes(request.prompt, config_.block_tokens);
     }
-    contexts.emplace_back(request.prompt, net_.config().context_window);
-    request_rngs.push_back(rng.Fork(static_cast<uint64_t>(i)));
-    RequestRecord& record = result.records[i];
-    record.id = request.id;
-    record.tenant = request.tenant;
-    record.priority = request.priority;
-    record.arrival = request.arrival;
-    record.ttft_deadline = request.ttft_deadline;
-    record.tpot_slo = request.tpot_slo;
+    arrivals[i] = {request.arrival, request.cancel_at, request.cancel_after_tokens};
+    backend.AddSequence(request.prompt, rng.Fork(static_cast<uint64_t>(i)));
+    result.records[i].tpot_slo = request.tpot_slo;
   }
-
-  double now = 0.0;
-  size_t next_arrival = 0;
-  std::vector<bool> enqueued(count, false);
-  const auto admit_arrivals = [&]() {
-    while (next_arrival < count &&
-           requests[static_cast<size_t>(by_arrival[next_arrival])].arrival <= now) {
-      const int64_t id = by_arrival[next_arrival];
-      const size_t idx = static_cast<size_t>(id);
-      const ServingRequest& request = requests[idx];
-      // A cancellation scheduled at-or-before arrival never reaches the
-      // scheduler: the client hung up before the request was accepted.
-      if (request.cancel_at > 0.0 && request.cancel_at <= request.arrival) {
-        sequences[idx].state = SequenceState::kCancelled;
-        client_cancelled[idx] = true;
-      } else {
-        scheduler.Enqueue(id);
-        enqueued[idx] = true;
-      }
-      ++next_arrival;
-    }
-  };
-  // Applies the client cancellation signals (declarative schedule and
-  // callback refusals); legal only between CommitStep and the next
-  // BeginStep, never mid-plan.
-  const auto apply_cancellations = [&]() {
-    for (size_t i = 0; i < count; ++i) {
-      RolloutSequence& sequence = sequences[i];
-      if (!enqueued[i] ||
-          (sequence.state != SequenceState::kWaiting &&
-           sequence.state != SequenceState::kPrefill &&
-           sequence.state != SequenceState::kDecode)) {
-        continue;  // Not yet accepted, or already terminal.
-      }
-      const ServingRequest& request = requests[i];
-      const bool timed_out = request.cancel_at > 0.0 && request.cancel_at <= now;
-      const bool streamed_enough = request.cancel_after_tokens > 0 &&
-                                   sequence.generated >= request.cancel_after_tokens;
-      if (timed_out || streamed_enough || client_cancelled[i]) {
-        scheduler.Cancel(sequence.id, /*expired=*/false);
-        client_cancelled[i] = true;
-      }
-    }
-  };
-
-  admit_arrivals();
-  while (scheduler.HasWork() || next_arrival < count) {
-    if (!scheduler.HasWork()) {
-      // Idle gap: jump the virtual clock to the next arrival.
-      now = std::max(now, requests[static_cast<size_t>(by_arrival[next_arrival])].arrival);
-      admit_arrivals();
-      apply_cancellations();
-      if (!scheduler.HasWork()) {
-        continue;
-      }
-    }
-    scheduler.SetSimNow(now);
-    const StepPlan plan = scheduler.BeginStep();
-    if (plan.empty()) {
-      // Expiry drained every remaining sequence this step; no forward runs.
-      now += config_.seconds_per_step;
-      admit_arrivals();
-      continue;
-    }
-
-    std::vector<int64_t> rows;
-    rows.reserve(static_cast<size_t>(plan.rows()));
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        rows.push_back(chunk.id);
-      }
-    }
-    rows.insert(rows.end(), plan.decode.begin(), plan.decode.end());
-    std::vector<std::vector<int64_t>> step_contexts;
-    step_contexts.reserve(rows.size());
-    for (int64_t id : rows) {
-      step_contexts.push_back(contexts[static_cast<size_t>(id)].tokens());
-    }
-
-    // The step's tokens commit at the step-end clock.
-    now += config_.seconds_per_step;
-    scheduler.SetSimNow(now);
-
-    std::vector<int64_t> eos_finished;
-    const Tensor logits = rows.empty() ? Tensor() : net_.Forward(step_contexts);
-    for (size_t a = 0; a < rows.size(); ++a) {
-      const int64_t id = rows[a];
-      const size_t idx = static_cast<size_t>(id);
-      float log_prob = 0.0f;
-      const int64_t token = SampleLogitsRow(logits, static_cast<int64_t>(a), temperature,
-                                            do_sample, request_rngs[idx], &log_prob);
-      RequestRecord& record = result.records[idx];
-      if (record.tokens == 0) {
-        record.first_token_time = now;
-      }
-      record.tokens += 1;
-      last_token_time[idx] = now;
-      record.response.push_back(token);
-      record.log_probs.push_back(log_prob);
-      contexts[idx].Push(token);
-      if (on_token != nullptr) {
-        StreamDelta delta;
-        delta.request = id;
-        delta.token = token;
-        delta.log_prob = log_prob;
-        delta.index = record.tokens - 1;
-        delta.time = now;
-        if (!on_token(delta)) {
-          client_cancelled[idx] = true;  // Applied at the step boundary.
-        }
-      }
-    }
-    scheduler.CommitStep(plan, eos_finished);
-    admit_arrivals();
-    apply_cancellations();
-  }
-
-  // Outcomes from terminal sequence states; every path must be terminal.
+  StepDriver driver(config, std::move(sequences), std::move(arrivals));
+  driver.Run(backend);
   for (size_t i = 0; i < count; ++i) {
-    const RolloutSequence& sequence = sequences[i];
-    RequestRecord& record = result.records[i];
-    switch (sequence.state) {
-      case SequenceState::kFinished:
-        record.outcome = RequestOutcome::kFinished;
-        record.end_time = last_token_time[i];
-        break;
-      case SequenceState::kCancelled:
-        record.outcome = RequestOutcome::kCancelled;
-        record.end_time = std::max(now, record.arrival);
-        break;
-      case SequenceState::kExpired:
-        record.outcome = RequestOutcome::kExpired;
-        record.end_time = std::max(now, record.arrival);
-        break;
-      default:
-        HF_CHECK_MSG(false, "serving request ended in a non-terminal state");
-    }
-    record.preemptions = sequence.preemptions;
-    FinalizeRecord(&record, last_token_time[i]);
+    result.records[i].response = std::move(backend.responses()[i]);
+    result.records[i].log_probs = std::move(backend.log_probs()[i]);
   }
-  result.report = BuildServingReport(result.records);
-  result.scheduler_stats = scheduler.stats();
-  result.kv_high_water_blocks = kv.high_water_blocks();
-  result.kv_leaked_blocks = kv.rank(0).used_blocks();
+  FinishServing(driver, &result);
 
-  finished_total_.Increment(static_cast<double>(result.report.finished));
-  cancelled_total_.Increment(static_cast<double>(result.report.cancelled));
-  expired_total_.Increment(static_cast<double>(result.report.expired));
+  finished_total.Increment(static_cast<double>(result.report.finished));
+  cancelled_total.Increment(static_cast<double>(result.report.cancelled));
+  expired_total.Increment(static_cast<double>(result.report.expired));
   for (const TenantServingStats& tenant : result.report.tenants) {
     const MetricLabels labels = {{"plane", "serving"},
                                  {"tenant", std::to_string(tenant.tenant)}};
-    MetricsRegistry::Global()
-        .GetCounter("serving.slo_attained_total", labels)
+    registry.GetCounter("serving.slo_attained_total", labels)
         .Increment(static_cast<double>(tenant.slo_attained));
-    MetricsRegistry::Global()
-        .GetCounter("serving.goodput_tokens_total", labels)
+    registry.GetCounter("serving.goodput_tokens_total", labels)
         .Increment(static_cast<double>(tenant.goodput_tokens));
-    QuantileHistogram& ttft_us = MetricsRegistry::Global().GetQuantileHistogram(
+    QuantileHistogram& ttft_us = registry.GetQuantileHistogram(
         "rollout.ttft_us", QuantileHistogram::kDefaultRelativeError, labels);
-    QuantileHistogram& tpot_us = MetricsRegistry::Global().GetQuantileHistogram(
+    QuantileHistogram& tpot_us = registry.GetQuantileHistogram(
         "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, labels);
     for (const RequestRecord& record : result.records) {
       if (record.tenant != tenant.tenant) {

@@ -1,19 +1,20 @@
-// ServingFrontend: the data-plane serving loop (docs/SERVING.md).
+// ServingFrontend: the data-plane serving entry point (docs/SERVING.md).
 //
-// Maps ServingRequests onto RolloutSequences and drives RolloutEngine-style
-// continuous generation over the real toy PolicyNet: per step it injects
-// newly arrived requests, applies client cancellations and TTFT expiry,
-// composes a mixed prefill+decode batch via RolloutScheduler, runs one
-// forward, and streams each committed token to the client callback.
+// Maps ServingRequests onto RolloutSequences and runs them through the
+// StepDriver (src/rollout/step_driver.h) with an arrival-list source and
+// the data backend over the real toy PolicyNet: per step it injects newly
+// arrived requests, applies client cancellations and TTFT expiry, composes
+// a mixed prefill+decode batch via RolloutScheduler, runs one forward, and
+// streams each committed token to the client callback.
 //
-// The serving clock is *virtual*: step k commits at (k+1) *
-// seconds_per_step, and arrivals/deadlines/cancellations are interpreted on
-// that clock (SetSimNow), so runs are fully deterministic — no wall-time
-// dependence. The per-row forward is independent of batch composition and
-// sampling uses per-request forked RNG streams, so greedy responses of
-// uncancelled requests are bitwise-identical across admission policies,
-// preemption, cancellation, and expiry of *other* requests (the rollout
-// engine's equivalence contract, extended to the serving surface).
+// The serving clock is *virtual*: every step, an empty one included,
+// advances it by seconds_per_step, and arrivals/deadlines/cancellations
+// are interpreted on that clock, so runs are fully deterministic — no
+// wall-time dependence. The per-row forward is independent of batch
+// composition and sampling uses per-request forked RNG streams, so greedy
+// responses of uncancelled requests are bitwise-identical across admission
+// policies, preemption, cancellation, and expiry of *other* requests (the
+// rollout engine's equivalence contract, extended to the serving surface).
 #ifndef SRC_SERVING_FRONTEND_H_
 #define SRC_SERVING_FRONTEND_H_
 
@@ -22,36 +23,24 @@
 
 #include "src/common/rng.h"
 #include "src/nn/policy_net.h"
-#include "src/obs/metrics.h"
+#include "src/rollout/step_driver.h"
 #include "src/serving/request.h"
 
 namespace hybridflow {
 
 struct ServingFrontendConfig {
+  // Admission and the prefix cache (scheduler.prefix_cache: prompts hash
+  // by content, so identical prefixes share blocks and skip prefill).
   ServingPolicyConfig scheduler;
   // Data-plane KV geometry (toy scale); num_blocks == 0 auto-sizes to fit
   // every request at full length (no capacity pressure).
   int64_t block_tokens = 4;
   int64_t num_blocks = 0;
-  // Prefix-sharing KV cache (docs/KVCACHE.md): requests with identical
-  // prompt prefixes — concurrent or arriving after an identical request
-  // finished (cross-request reuse; finished requests' prompt blocks are
-  // retained evictable) — share blocks and skip the shared prefill.
-  bool prefix_cache = false;
   // Virtual seconds one engine step advances the serving clock by.
   double seconds_per_step = 0.1;
   // Optional lifecycle sink (src/obs/seq_events.h); null disables, same
   // no-op contract as the rollout engine.
   SeqEventLog* event_log = nullptr;
-};
-
-struct ServingResult {
-  std::vector<RequestRecord> records;  // One per request, by request id.
-  ServingReport report;
-  RolloutSchedulerStats scheduler_stats;
-  int64_t kv_high_water_blocks = 0;
-  // Every terminal exit returned its blocks: end-of-run used_blocks == 0.
-  int64_t kv_leaked_blocks = 0;
 };
 
 class ServingFrontend {
@@ -73,12 +62,6 @@ class ServingFrontend {
   const PolicyNet& net_;
   ServingFrontendConfig config_;
   int kv_ranks_;
-  // Cached registry handles; per-tenant counters are resolved per run
-  // (tenant sets are dynamic), these aggregate across tenants.
-  Counter& requests_total_;
-  Counter& finished_total_;
-  Counter& cancelled_total_;
-  Counter& expired_total_;
 };
 
 }  // namespace hybridflow

@@ -4,8 +4,9 @@
 // (tenant, priority, SLOs, optional cancellation schedule). Its lifecycle is
 //   queued -> admitted -> prefilling -> streaming
 //         -> finished | cancelled | expired
-// mapped onto RolloutSequence states by ServingFrontend / SimulateServing;
-// every terminal exit releases the request's KV blocks immediately.
+// mapped onto RolloutSequence states by the StepDriver that runs both
+// ServingFrontend and SimulateServing; every terminal exit releases the
+// request's KV blocks immediately.
 //
 // A RequestRecord is the per-request outcome row both planes emit: outcome,
 // streamed tokens, TTFT/TPOT against the serving clock, and SLO attainment.
@@ -16,7 +17,6 @@
 #define SRC_SERVING_REQUEST_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,9 +40,10 @@ struct ServingPolicyConfig {
   // Serving default: reject TTFT-overdue requests instead of serving them
   // late. Turn off to measure how late a policy would have served them.
   bool expire_overdue = true;
-  // Prefix-sharing KV cache across requests (docs/KVCACHE.md). Data plane:
-  // prompts hash by content. Sim plane: ArrivalRecord::prompt_group
-  // supplies count-based content identity.
+  // Prefix-sharing KV cache across requests (docs/KVCACHE.md), the one
+  // switch for both planes. Data plane: prompts hash by content. Sim plane:
+  // ArrivalRecord::prompt_group supplies count-based content identity
+  // (SimPromptHashes; unique prompts hash in their own namespace).
   bool prefix_cache = false;
 };
 
@@ -76,21 +77,6 @@ enum class RequestOutcome {
 // Stable lowercase name used in the per-request JSONL ("finished", ...).
 const char* RequestOutcomeName(RequestOutcome outcome);
 bool ParseRequestOutcome(const std::string& name, RequestOutcome* outcome);
-
-// One streamed token, delivered to the client callback as it is committed.
-struct StreamDelta {
-  int64_t request = 0;
-  int64_t token = 0;
-  float log_prob = 0.0f;
-  int64_t index = 0;  // 0-based position in the response.
-  double time = 0.0;  // Serving-clock commit instant.
-};
-
-// Return false to cancel the request (takes effect at the step boundary;
-// the delivered token is kept). The data plane invokes this inline on the
-// engine thread, so callbacks must be fast and must not re-enter the
-// frontend.
-using StreamCallback = std::function<bool(const StreamDelta&)>;
 
 // Per-request outcome row. Times are absolute serving-clock instants;
 // ttft/tpot are derived durations (0 when undefined).
@@ -143,6 +129,16 @@ struct ServingReport {
 };
 
 ServingReport BuildServingReport(const std::vector<RequestRecord>& records);
+
+// One serving run's outcome on either plane.
+struct ServingResult {
+  std::vector<RequestRecord> records;  // One per request, by request id.
+  ServingReport report;
+  RolloutSchedulerStats scheduler_stats;
+  int64_t kv_high_water_blocks = 0;
+  // Every terminal exit returned its blocks: end-of-run used_blocks == 0.
+  int64_t kv_leaked_blocks = 0;
+};
 
 // One JSON object per request (JsonValidate-clean), e.g.
 //   {"req":3,"tenant":1,"priority":0,"outcome":"finished","arrival":0.42,

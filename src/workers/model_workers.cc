@@ -14,6 +14,23 @@ namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+// `shard` plus `column`: `net`'s per-token log-probs of each response,
+// scored over its prompt+response contexts.
+DataBatch WithResponseLogProbs(const PolicyNet& net, int64_t context_window,
+                               const DataBatch& shard, const std::string& column) {
+  DataBatch out = shard;
+  std::vector<int64_t> lengths;
+  std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
+      shard.Tokens("prompts"), shard.Tokens("responses"), context_window, &lengths);
+  std::vector<int64_t> chosen;
+  for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
+    chosen.insert(chosen.end(), response.begin(), response.end());
+  }
+  Tensor log_probs = net.LogProb(contexts, chosen);
+  out.SetFloat(column, UnflattenRagged(log_probs.data(), lengths));
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -170,34 +187,29 @@ double ActorWorkerGroup::GenerationSeconds(const RlhfWorkloadSpec& workload,
     last_rollout_latency_ = sim.latency;
     // Sim-plane scheduler gauges; GenerationSeconds runs only on the
     // single controller thread, so last-write-wins is well defined.
-    MetricsRegistry& registry = MetricsRegistry::Global();
+    const RolloutStats& stats = sim.stats;
+    const std::pair<const char*, double> gauges[] = {
+        {"rollout.sim_steps", static_cast<double>(stats.steps)},
+        {"rollout.sim_preemptions", static_cast<double>(stats.preemptions)},
+        {"rollout.sim_max_running_batch", static_cast<double>(stats.max_running_batch)},
+        {"rollout.sim_kv_high_water_blocks", static_cast<double>(stats.kv_high_water_blocks)},
+        {"rollout.sim_kv_peak_utilization", stats.kv_peak_utilization},
+        {"rollout.sim_resumes", static_cast<double>(stats.resumes)},
+        {"rollout.sim_recomputed_tokens", static_cast<double>(stats.recomputed_tokens)},
+        {"kvcache.prefix_hits_total", static_cast<double>(stats.prefix_skipped_tokens)},
+        {"kvcache.cow_splits_total", static_cast<double>(stats.cow_splits)},
+        {"kvcache.shared_blocks", static_cast<double>(stats.shared_blocks_high_water)},
+        {"rollout.sim_ttft_p50_s", sim.latency.ttft.p50},
+        {"rollout.sim_ttft_p90_s", sim.latency.ttft.p90},
+        {"rollout.sim_ttft_p99_s", sim.latency.ttft.p99},
+        {"rollout.sim_tpot_p50_s", sim.latency.tpot.p50},
+        {"rollout.sim_tpot_p90_s", sim.latency.tpot.p90},
+        {"rollout.sim_tpot_p99_s", sim.latency.tpot.p99},
+    };
     const MetricLabels plane{{"plane", "sim"}};
-    registry.GetGauge("rollout.sim_steps", plane)
-        .Set(static_cast<double>(sim.stats.steps));
-    registry.GetGauge("rollout.sim_preemptions", plane)
-        .Set(static_cast<double>(sim.stats.preemptions));
-    registry.GetGauge("rollout.sim_max_running_batch", plane)
-        .Set(static_cast<double>(sim.stats.max_running_batch));
-    registry.GetGauge("rollout.sim_kv_high_water_blocks", plane)
-        .Set(static_cast<double>(sim.stats.kv_high_water_blocks));
-    registry.GetGauge("rollout.sim_kv_peak_utilization", plane)
-        .Set(sim.stats.kv_peak_utilization);
-    registry.GetGauge("rollout.sim_resumes", plane)
-        .Set(static_cast<double>(sim.stats.resumes));
-    registry.GetGauge("rollout.sim_recomputed_tokens", plane)
-        .Set(static_cast<double>(sim.stats.recomputed_tokens));
-    registry.GetGauge("kvcache.prefix_hits_total", plane)
-        .Set(static_cast<double>(sim.stats.prefix_skipped_tokens));
-    registry.GetGauge("kvcache.cow_splits_total", plane)
-        .Set(static_cast<double>(sim.stats.cow_splits));
-    registry.GetGauge("kvcache.shared_blocks", plane)
-        .Set(static_cast<double>(sim.stats.shared_blocks_high_water));
-    registry.GetGauge("rollout.sim_ttft_p50_s", plane).Set(sim.latency.ttft.p50);
-    registry.GetGauge("rollout.sim_ttft_p90_s", plane).Set(sim.latency.ttft.p90);
-    registry.GetGauge("rollout.sim_ttft_p99_s", plane).Set(sim.latency.ttft.p99);
-    registry.GetGauge("rollout.sim_tpot_p50_s", plane).Set(sim.latency.tpot.p50);
-    registry.GetGauge("rollout.sim_tpot_p90_s", plane).Set(sim.latency.tpot.p90);
-    registry.GetGauge("rollout.sim_tpot_p99_s", plane).Set(sim.latency.tpot.p99);
+    for (const auto& [name, value] : gauges) {
+      MetricsRegistry::Global().GetGauge(name, plane).Set(value);
+    }
   } else {
     result = perf().GenerateTime(gen, replica_devices, per_replica, workload.prompt_len,
                                  workload.response_len, kv_budget, actor_.use_kv_cache);
@@ -333,18 +345,7 @@ BatchFuture ActorWorkerGroup::ComputeLogProb(const BatchFuture& batch,
                                              const std::string& output_column) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
   ComputeFn compute = [this, &output_column](const DataBatch& shard, int) {
-    DataBatch out = shard;
-    std::vector<int64_t> lengths;
-    std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
-        shard.Tokens("prompts"), shard.Tokens("responses"), real_.net.context_window,
-        &lengths);
-    std::vector<int64_t> chosen;
-    for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
-      chosen.insert(chosen.end(), response.begin(), response.end());
-    }
-    Tensor log_probs = net_->LogProb(contexts, chosen);
-    out.SetFloat(output_column, UnflattenRagged(log_probs.data(), lengths));
-    return out;
+    return WithResponseLogProbs(*net_, real_.net.context_window, shard, output_column);
   };
   return Dispatch("compute_log_prob", "infer", TransferProtocol::k3dProto, batch, duration,
                   compute, workload.NominalTransferBytes());
@@ -550,18 +551,7 @@ BatchFuture ReferenceWorkerGroup::ComputeRefLogProb(const BatchFuture& batch,
                                                     const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
   ComputeFn compute = [this](const DataBatch& shard, int) {
-    DataBatch out = shard;
-    std::vector<int64_t> lengths;
-    std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
-        shard.Tokens("prompts"), shard.Tokens("responses"), real_.net.context_window,
-        &lengths);
-    std::vector<int64_t> chosen;
-    for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
-      chosen.insert(chosen.end(), response.begin(), response.end());
-    }
-    Tensor log_probs = net_->LogProb(contexts, chosen);
-    out.SetFloat("ref_log_probs", UnflattenRagged(log_probs.data(), lengths));
-    return out;
+    return WithResponseLogProbs(*net_, real_.net.context_window, shard, "ref_log_probs");
   };
   return Dispatch("compute_ref_log_prob", "infer", TransferProtocol::k3dProto, batch, duration,
                   compute, workload.NominalTransferBytes());

@@ -65,6 +65,32 @@ TEST(ObsJsonTest, ValidatorRejectsMalformedDocuments) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ObsJsonTest, ParserBuildsTheDocumentTree) {
+  JsonValue doc;
+  ASSERT_TRUE(JsonParse(
+      " {\"a\":[1,-2.5e1,true,null],\"s\":\"x\\n\\u0041\\u00e9\\/\",\"a\":{}} ", &doc));
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  ASSERT_EQ(doc.fields.size(), 3u);  // Document order; duplicate keys kept.
+  const JsonValue* a = doc.Find("a");  // The first "a".
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->kind, JsonValue::Kind::kArray);
+  ASSERT_EQ(a->items.size(), 4u);
+  EXPECT_EQ(a->items[0].number, 1.0);
+  EXPECT_EQ(a->items[1].number, -25.0);
+  EXPECT_TRUE(a->items[2].boolean);
+  EXPECT_EQ(a->items[3].kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(doc.Str("s"), "x\nA\xc3\xa9/");
+  EXPECT_EQ(doc.Num("s", 7.0), 7.0);  // Not a number: the fallback.
+  EXPECT_EQ(doc.Find("missing"), nullptr);
+
+  std::string error;
+  EXPECT_FALSE(JsonParse("[01]", &doc, &error));  // No leading zeros.
+  EXPECT_FALSE(JsonParse("[1.]", &doc, &error));
+  EXPECT_FALSE(JsonParse("\"\\x\"", &doc, &error));
+  EXPECT_FALSE(JsonParse("\"\\u12\"", &doc, &error));
+  EXPECT_NE(error.find("(at byte "), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "src/data/arrival_trace.h"
 #include "src/nn/policy_net.h"
 #include "src/obs/json_util.h"
+#include "src/rollout/timing.h"
 #include "src/serving/frontend.h"
 #include "src/serving/request.h"
 #include "src/serving/sim.h"
@@ -542,6 +543,31 @@ TEST(ServingFrontendTest, StreamingCallbackDeliversTokensInOrderAndCanCancel) {
   EXPECT_EQ(got.kv_leaked_blocks, 0);
 }
 
+TEST(ServingFrontendTest, PrefixCacheKeepsGreedyOutputsAndSkipsSharedPrefill) {
+  const PolicyNet net = TestNet();
+  std::vector<ServingRequest> requests = TestRequests();
+  // Requests 4..7 repeat requests 0..3's prompts, arriving behind them.
+  for (size_t i = 4; i < requests.size(); ++i) {
+    requests[i].prompt = requests[i - 4].prompt;
+    requests[i].arrival += 0.5;
+  }
+  ServingFrontendConfig uncached;
+  uncached.scheduler.expire_overdue = false;
+  uncached.block_tokens = 2;
+  ServingFrontendConfig cached = uncached;
+  cached.scheduler.prefix_cache = true;
+  const ServingResult want = ServeWith(net, requests, uncached);
+  const ServingResult got = ServeWith(net, requests, cached);
+  EXPECT_EQ(want.scheduler_stats.prefix_skipped_tokens, 0);
+  EXPECT_GT(got.scheduler_stats.prefix_skipped_tokens, 0);
+  EXPECT_EQ(got.kv_leaked_blocks, 0);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(got.records[i].outcome, RequestOutcome::kFinished);
+    EXPECT_EQ(got.records[i].response, want.records[i].response) << "request " << i;
+    EXPECT_EQ(got.records[i].log_probs, want.records[i].log_probs) << "request " << i;
+  }
+}
+
 TEST(ServingFrontendTest, ReportAggregatesPerTenantAndJsonlValidates) {
   const PolicyNet net = TestNet();
   const std::vector<ServingRequest> requests = TestRequests();
@@ -652,6 +678,77 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
           << TraceShapeName(shape) << " policy " << static_cast<int>(admission);
     }
   }
+}
+
+TEST(ServingSimTest, UnsortedTraceReplaysByArrival) {
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  const double kv_budget = 8192.0 * perf.KvBytesPerTokenPerGpu(gen);
+  std::vector<ArrivalRecord> trace(2);
+  for (int64_t i = 0; i < 2; ++i) {
+    trace[i].index = i;
+    trace[i].prompt_tokens = 64;
+    trace[i].target_new_tokens = 4;
+  }
+  trace[0].arrival = 5.0;
+  trace[1].arrival = 1.0;
+  std::vector<ArrivalRecord> sorted = {trace[1], trace[0]};
+  sorted[0].index = 0;
+  sorted[1].index = 1;
+  const ServingSimResult got =
+      SimulateServing(perf, gen, devices, trace, kv_budget, ServingPolicyConfig{});
+  const ServingSimResult want =
+      SimulateServing(perf, gen, devices, sorted, kv_budget, ServingPolicyConfig{});
+  // Request 1 is served when it arrives, not behind request 0's arrival.
+  EXPECT_LT(got.records[1].ttft, 0.1);
+  for (size_t i = 0; i < 2; ++i) {
+    const RequestRecord& record = got.records[i];
+    const RequestRecord& same = want.records[1 - i];
+    EXPECT_EQ(record.first_token_time, same.first_token_time) << "request " << i;
+    EXPECT_EQ(record.end_time, same.end_time) << "request " << i;
+    EXPECT_EQ(record.ttft, same.ttft) << "request " << i;
+    EXPECT_EQ(record.tpot, same.tpot) << "request " << i;
+  }
+  EXPECT_EQ(got.sim_seconds, want.sim_seconds);
+}
+
+TEST(ServingSimTest, ClosedBatchMatchesRolloutSimulation) {
+  // A closed batch at t=0 under queue-order admission is the rollout
+  // workload: both sim entry points must schedule it identically,
+  // including the prefix hits a preempted unique prompt gets on resume.
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  const double kv_budget = 1024.0 * perf.KvBytesPerTokenPerGpu(gen);
+  std::vector<ArrivalRecord> trace(16);
+  std::vector<NominalSequence> nominal(16);
+  for (int64_t i = 0; i < 16; ++i) {
+    trace[i].index = i;
+    trace[i].prompt_tokens = 128;
+    trace[i].target_new_tokens = 256;
+    nominal[i] = {128, 256, -1};
+  }
+  ServingPolicyConfig serving;
+  serving.prefix_cache = true;
+  RolloutOptions rollout;
+  rollout.enable_prefix_cache = true;
+  const ServingSimResult served =
+      SimulateServing(perf, gen, devices, trace, kv_budget, serving);
+  const RolloutSimResult rolled =
+      SimulateContinuousGeneration(perf, gen, devices, nominal, kv_budget, rollout);
+  const RolloutSchedulerStats& stats = served.scheduler_stats;
+  EXPECT_GT(stats.preemptions, 0);
+  EXPECT_GT(stats.prefix_skipped_tokens, 0);
+  EXPECT_EQ(stats.steps, rolled.stats.steps);
+  EXPECT_EQ(stats.admissions, rolled.stats.admissions);
+  EXPECT_EQ(stats.preemptions, rolled.stats.preemptions);
+  EXPECT_EQ(stats.max_running, rolled.stats.max_running_batch);
+  EXPECT_EQ(stats.resumes, rolled.stats.resumes);
+  EXPECT_EQ(stats.recomputed_tokens, rolled.stats.recomputed_tokens);
+  EXPECT_EQ(stats.prefix_skipped_tokens, rolled.stats.prefix_skipped_tokens);
+  EXPECT_EQ(served.kv_high_water_blocks, rolled.stats.kv_high_water_blocks);
+  EXPECT_NEAR(served.sim_seconds, rolled.time.total(), 1e-9 * rolled.time.total());
 }
 
 }  // namespace

@@ -22,246 +22,24 @@
 // Exit status: 0 on success, 2 if any file is unreadable or malformed.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/strings.h"
+#include "src/obs/json_util.h"
+#include "src/obs/metrics.h"
 #include "src/obs/seq_events.h"
+#include "src/serving/request.h"
 
 namespace hybridflow {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON reader (tools-local; src/obs/json_util.h
-// deliberately validates without building a DOM). Handles exactly the
-// subset the repo's emitters produce.
-
-struct JValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JValue> items;                             // kArray
-  std::vector<std::pair<std::string, JValue>> fields;    // kObject (ordered)
-
-  const JValue* Find(const std::string& key) const {
-    for (const auto& [name, value] : fields) {
-      if (name == key) {
-        return &value;
-      }
-    }
-    return nullptr;
-  }
-  double Num(const std::string& key, double fallback = 0.0) const {
-    const JValue* value = Find(key);
-    return value != nullptr && value->kind == Kind::kNumber ? value->number : fallback;
-  }
-  std::string Str(const std::string& key) const {
-    const JValue* value = Find(key);
-    return value != nullptr && value->kind == Kind::kString ? value->text : std::string();
-  }
-};
-
-class JParser {
- public:
-  explicit JParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* word) {
-    const size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) != 0) {
-      return false;
-    }
-    pos_ += len;
-    return true;
-  }
-  bool ParseValue(JValue* out) {
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->kind = JValue::Kind::kString;
-        return ParseString(&out->text);
-      case 't':
-        out->kind = JValue::Kind::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->kind = JValue::Kind::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->kind = JValue::Kind::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-  bool ParseObject(JValue* out) {
-    out->kind = JValue::Kind::kObject;
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !ParseString(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return false;
-      }
-      ++pos_;
-      SkipWs();
-      JValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->fields.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool ParseArray(JValue* out) {
-    out->kind = JValue::Kind::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      JValue value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->items.push_back(std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool ParseString(std::string* out) {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) {
-          return false;
-        }
-        const char escape = text_[pos_ + 1];
-        pos_ += 2;
-        switch (escape) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return false;
-            }
-            // \u00XX only (the emitters never write astral escapes).
-            const std::string hex = text_.substr(pos_, 4);
-            pos_ += 4;
-            *out += static_cast<char>(std::stoi(hex, nullptr, 16));
-            break;
-          }
-          default:
-            return false;
-        }
-        continue;
-      }
-      *out += c;
-      ++pos_;
-    }
-    return false;
-  }
-  bool ParseNumber(JValue* out) {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    out->kind = JValue::Kind::kNumber;
-    out->number = std::stod(text_.substr(start, pos_ - start));
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 
 std::string FormatValue(double value) {
   if (value == static_cast<int64_t>(value) && std::abs(value) < 1e15) {
@@ -270,91 +48,54 @@ std::string FormatValue(double value) {
   return StrFormat("%.4g", value);
 }
 
-std::string LabelSuffix(const JValue& record) {
-  const JValue* labels = record.Find("labels");
-  if (labels == nullptr || labels->fields.empty()) {
-    return "";
-  }
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : labels->fields) {
-    if (!first) {
-      out += ",";
+std::string LabelSuffix(const JsonValue& record) {
+  std::string out;
+  if (const JsonValue* labels = record.Find("labels")) {
+    for (const auto& [key, value] : labels->fields) {
+      out += (out.empty() ? "{" : ",") + key + "=" + value.text;
     }
-    first = false;
-    out += key + "=" + value.text;
   }
-  return out + "}";
+  return out.empty() ? out : out + "}";
 }
 
-// Interpolated percentile over a metrics-dump fixed-bucket histogram row
-// (same convention as Histogram::SnapshotQuantile).
-double HistogramQuantile(const JValue& record, double q) {
-  const JValue* buckets = record.Find("buckets");
-  if (buckets == nullptr || buckets->items.empty()) {
-    return 0.0;
-  }
-  uint64_t total = 0;
-  for (const JValue& bucket : buckets->items) {
-    total += static_cast<uint64_t>(bucket.Num("count"));
-  }
-  if (total == 0) {
-    return 0.0;
-  }
-  uint64_t rank = static_cast<uint64_t>(
-      std::max(1.0, std::ceil(std::min(1.0, std::max(0.0, q)) * static_cast<double>(total))));
-  uint64_t cumulative = 0;
-  double previous_edge = 0.0;
-  double last_finite_edge = 0.0;
-  for (const JValue& bucket : buckets->items) {
-    const uint64_t count = static_cast<uint64_t>(bucket.Num("count"));
-    const JValue* le = bucket.Find("le");
-    const bool overflow = le == nullptr || le->kind != JValue::Kind::kNumber;
-    const double edge = overflow ? last_finite_edge : le->number;
-    if (!overflow) {
-      last_finite_edge = edge;
-    }
-    if (cumulative + count >= rank) {
-      if (overflow || count == 0) {
-        return edge;
+// Percentile of a metrics-dump fixed-bucket histogram row, by the live
+// histogram's own rule.
+double HistogramQuantile(const JsonValue& record, double q) {
+  std::vector<double> bounds;
+  std::vector<uint64_t> counts;
+  if (const JsonValue* buckets = record.Find("buckets")) {
+    for (const JsonValue& bucket : buckets->items) {
+      const JsonValue* le = bucket.Find("le");
+      if (le != nullptr && le->kind == JsonValue::Kind::kNumber) {
+        bounds.push_back(le->number);
       }
-      const double lower = cumulative == 0 && previous_edge == 0.0 && edge > 0.0
-                               ? std::min(0.0, edge)
-                               : previous_edge;
-      const double fraction =
-          static_cast<double>(rank - cumulative) / static_cast<double>(count);
-      return lower + (edge - lower) * fraction;
+      counts.push_back(static_cast<uint64_t>(bucket.Num("count")));
     }
-    cumulative += count;
-    previous_edge = edge;
   }
-  return last_finite_edge;
+  return Histogram::BucketQuantile(bounds, counts, q);
 }
 
-void PrintMetrics(const std::vector<JValue>& records) {
+void PrintMetrics(const std::vector<JsonValue>& records) {
   std::cout << "\n-- distributions --\n";
   std::cout << StrFormat("%-44s | %8s | %10s | %10s | %10s | %10s\n", "metric", "count", "p50",
                          "p90", "p99", "max");
-  for (const JValue& record : records) {
+  for (const JsonValue& record : records) {
     const std::string type = record.Str("type");
     const std::string name = record.Str("name") + LabelSuffix(record);
-    if (type == "quantile") {
-      std::cout << StrFormat("%-44s | %8lld | %10s | %10s | %10s | %10s\n", name.c_str(),
-                             static_cast<long long>(record.Num("count")),
-                             FormatValue(record.Num("p50")).c_str(),
-                             FormatValue(record.Num("p90")).c_str(),
-                             FormatValue(record.Num("p99")).c_str(),
-                             FormatValue(record.Num("max")).c_str());
-    } else if (type == "histogram") {
-      std::cout << StrFormat("%-44s | %8lld | %10s | %10s | %10s | %10s\n", name.c_str(),
-                             static_cast<long long>(record.Num("count")),
-                             FormatValue(HistogramQuantile(record, 0.5)).c_str(),
-                             FormatValue(HistogramQuantile(record, 0.9)).c_str(),
-                             FormatValue(HistogramQuantile(record, 0.99)).c_str(), "-");
+    if (type != "quantile" && type != "histogram") {
+      continue;
     }
+    const bool exact = type == "quantile";  // Histograms interpolate, no max.
+    const auto at = [&](const char* key, double q) {
+      return FormatValue(exact ? record.Num(key) : HistogramQuantile(record, q));
+    };
+    std::cout << StrFormat("%-44s | %8lld | %10s | %10s | %10s | %10s\n", name.c_str(),
+                           static_cast<long long>(record.Num("count")), at("p50", 0.5).c_str(),
+                           at("p90", 0.9).c_str(), at("p99", 0.99).c_str(),
+                           exact ? FormatValue(record.Num("max")).c_str() : "-");
   }
   std::cout << "\n-- counters / gauges --\n";
-  for (const JValue& record : records) {
+  for (const JsonValue& record : records) {
     const std::string type = record.Str("type");
     if (type == "counter" || type == "gauge") {
       std::cout << StrFormat("%-52s = %s (%s)\n",
@@ -364,13 +105,13 @@ void PrintMetrics(const std::vector<JValue>& records) {
   }
 }
 
-void PrintTelemetry(const std::vector<JValue>& records) {
+void PrintTelemetry(const std::vector<JsonValue>& records) {
   // Union of numeric keys in insertion order across the run.
   std::vector<std::string> keys;
-  std::set<std::string> seen;
-  for (const JValue& record : records) {
+  for (const JsonValue& record : records) {
     for (const auto& [key, value] : record.fields) {
-      if (value.kind == JValue::Kind::kNumber && seen.insert(key).second) {
+      if (value.kind == JsonValue::Kind::kNumber &&
+          std::find(keys.begin(), keys.end(), key) == keys.end()) {
         keys.push_back(key);
       }
     }
@@ -380,9 +121,9 @@ void PrintTelemetry(const std::vector<JValue>& records) {
     double sum = 0.0;
     size_t count = 0;
     double last = 0.0;
-    for (const JValue& record : records) {
-      const JValue* value = record.Find(key);
-      if (value != nullptr && value->kind == JValue::Kind::kNumber) {
+    for (const JsonValue& record : records) {
+      const JsonValue* value = record.Find(key);
+      if (value != nullptr && value->kind == JsonValue::Kind::kNumber) {
         sum += value->number;
         last = value->number;
         ++count;
@@ -403,37 +144,24 @@ void PrintDigestRow(const char* name, const LatencyDigest& digest, const char* u
                          FormatValue(digest.p99).c_str(), FormatValue(digest.max).c_str(), unit);
 }
 
-bool SeqEventFromRecord(const JValue& record, SeqEvent* event) {
-  SeqEventKind kind;
-  if (!ParseSeqEventKind(record.Str("kind"), &kind)) {
-    return false;
-  }
-  event->run = static_cast<int64_t>(record.Num("run"));
-  event->seq = static_cast<int64_t>(record.Num("seq"));
-  event->kind = kind;
-  event->step = static_cast<int64_t>(record.Num("step"));
-  event->tokens = static_cast<int64_t>(record.Num("tokens"));
-  event->sim_seconds = record.Num("sim_s");
-  event->wall_us = record.Num("wall_us");
-  return true;
-}
-
-void PrintSeqEvents(const std::vector<JValue>& records, int top_n) {
+void PrintSeqEvents(const std::vector<JsonValue>& records, int top_n) {
   std::vector<SeqEvent> events;
-  events.reserve(records.size());
-  for (const JValue& record : records) {
+  for (const JsonValue& record : records) {
     SeqEvent event;
-    if (SeqEventFromRecord(record, &event)) {
+    if (ParseSeqEventKind(record.Str("kind"), &event.kind)) {
+      event.run = static_cast<int64_t>(record.Num("run"));
+      event.seq = static_cast<int64_t>(record.Num("seq"));
+      event.step = static_cast<int64_t>(record.Num("step"));
+      event.tokens = static_cast<int64_t>(record.Num("tokens"));
+      event.sim_seconds = record.Num("sim_s");
+      event.wall_us = record.Num("wall_us");
       events.push_back(event);
     }
   }
   // Sim-plane logs carry DES timestamps; data-plane logs leave them at 0
   // and are analyzed on the wall clock.
-  bool any_sim = false;
-  for (const SeqEvent& event : events) {
-    any_sim = any_sim || event.sim_seconds > 0.0;
-  }
-  const bool wall = !any_sim;
+  const bool wall = std::none_of(events.begin(), events.end(),
+                                 [](const SeqEvent& event) { return event.sim_seconds > 0.0; });
   const char* unit = wall ? "wall us" : "sim s";
   std::vector<SeqLatency> latencies = DeriveSeqLatencies(events, wall);
   const SeqLatencySummary summary = SummarizeSeqLatencies(latencies);
@@ -500,6 +228,13 @@ void PrintSeqEvents(const std::vector<JValue>& records, int top_n) {
     // Compress decode-step runs so long timelines stay readable; report
     // timestamps relative to the sequence's first event.
     int64_t decode_run = 0;
+    const auto flush_decode_run = [&decode_run]() {
+      if (decode_run > 0) {
+        std::cout << StrFormat("    ... %lld decode steps ...\n",
+                               static_cast<long long>(decode_run));
+        decode_run = 0;
+      }
+    };
     double base = 0.0;
     bool have_base = false;
     for (const SeqEvent& event : events) {
@@ -516,99 +251,65 @@ void PrintSeqEvents(const std::vector<JValue>& records, int top_n) {
         ++decode_run;
         continue;
       }
-      if (decode_run > 0) {
-        std::cout << StrFormat("    ... %lld decode steps ...\n",
-                               static_cast<long long>(decode_run));
-        decode_run = 0;
-      }
+      flush_decode_run();
       std::cout << StrFormat("    %12s  step %-5lld %-13s tokens=%lld\n",
                              FormatValue(t).c_str(), static_cast<long long>(event.step),
                              SeqEventKindName(event.kind),
                              static_cast<long long>(event.tokens));
     }
-    if (decode_run > 0) {
-      std::cout << StrFormat("    ... %lld decode steps ...\n",
-                             static_cast<long long>(decode_run));
-    }
+    flush_decode_run();
   }
 }
 
-void PrintServingRequests(const std::vector<JValue>& records) {
-  // Per-request serving JSONL (src/serving/request.h): fold into the same
-  // per-tenant SLO-attainment table BuildServingReport computes, so the
-  // offline view of an artifact matches the live report.
-  struct TenantRow {
-    int64_t requests = 0;
-    int64_t finished = 0;
-    int64_t cancelled = 0;
-    int64_t expired = 0;
-    int64_t slo_attained = 0;
-    int64_t goodput_tokens = 0;
-    std::vector<double> ttft;
-    std::vector<double> tpot;
-  };
-  std::map<int64_t, TenantRow> tenants;
-  for (const JValue& record : records) {
-    TenantRow& row = tenants[static_cast<int64_t>(record.Num("tenant"))];
-    ++row.requests;
-    const std::string outcome = record.Str("outcome");
-    const int64_t tokens = static_cast<int64_t>(record.Num("tokens"));
-    if (outcome == "finished") {
-      ++row.finished;
-    } else if (outcome == "cancelled") {
-      ++row.cancelled;
-    } else if (outcome == "expired") {
-      ++row.expired;
+bool PrintServingRequests(const std::vector<JsonValue>& rows) {
+  // Per-request serving JSONL (src/serving/request.h), folded into the
+  // per-tenant SLO-attainment table by the live run's BuildServingReport.
+  std::vector<RequestRecord> records(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const JsonValue& row = rows[i];
+    RequestRecord& record = records[i];
+    if (!ParseRequestOutcome(row.Str("outcome"), &record.outcome)) {
+      return false;
     }
-    const JValue* slo_ok = record.Find("slo_ok");
-    if (slo_ok != nullptr && slo_ok->kind == JValue::Kind::kBool && slo_ok->boolean) {
-      ++row.slo_attained;
-      row.goodput_tokens += tokens;
-    }
-    if (tokens >= 1) {
-      row.ttft.push_back(record.Num("ttft"));
-    }
-    if (tokens >= 2) {
-      row.tpot.push_back(record.Num("tpot"));
-    }
+    record.tenant = static_cast<int64_t>(row.Num("tenant"));
+    record.tokens = static_cast<int64_t>(row.Num("tokens"));
+    record.ttft = row.Num("ttft");
+    record.tpot = row.Num("tpot");
+    const JsonValue* slo_ok = row.Find("slo_ok");
+    record.slo_ok = slo_ok != nullptr && slo_ok->kind == JsonValue::Kind::kBool && slo_ok->boolean;
   }
+  const ServingReport report = BuildServingReport(records);
   std::cout << StrFormat("\n%zu serving requests across %zu tenants:\n", records.size(),
-                         tenants.size());
+                         report.tenants.size());
   std::cout << StrFormat("%-7s | %5s | %5s | %5s | %5s | %8s | %8s | %9s | %10s | %10s |\n",
                          "tenant", "reqs", "fin", "canc", "exp", "slo_ok", "slo_rate",
                          "good_tok", "ttft_p99_s", "tpot_p99_s");
-  for (auto& [tenant, row] : tenants) {
-    const LatencyDigest ttft = DigestValues(std::move(row.ttft));
-    const LatencyDigest tpot = DigestValues(std::move(row.tpot));
-    const double rate =
-        row.requests > 0
-            ? static_cast<double>(row.slo_attained) / static_cast<double>(row.requests)
-            : 0.0;
+  for (const TenantServingStats& tenant : report.tenants) {
+    const double rate = static_cast<double>(tenant.slo_attained) /
+                        static_cast<double>(tenant.requests);
     std::cout << StrFormat(
         "%-7lld | %5lld | %5lld | %5lld | %5lld | %8lld | %8s | %9lld | %10s | %10s |\n",
-        static_cast<long long>(tenant), static_cast<long long>(row.requests),
-        static_cast<long long>(row.finished), static_cast<long long>(row.cancelled),
-        static_cast<long long>(row.expired), static_cast<long long>(row.slo_attained),
-        FormatValue(rate).c_str(), static_cast<long long>(row.goodput_tokens),
-        FormatValue(ttft.p99).c_str(), FormatValue(tpot.p99).c_str());
+        static_cast<long long>(tenant.tenant), static_cast<long long>(tenant.requests),
+        static_cast<long long>(tenant.finished), static_cast<long long>(tenant.cancelled),
+        static_cast<long long>(tenant.expired), static_cast<long long>(tenant.slo_attained),
+        FormatValue(rate).c_str(), static_cast<long long>(tenant.goodput_tokens),
+        FormatValue(tenant.ttft.p99).c_str(), FormatValue(tenant.tpot.p99).c_str());
   }
+  return true;
 }
 
-void PrintBench(const JValue& report) {
-  const JValue* rows = report.Find("rows");
+void PrintBench(const JsonValue& report) {
+  const JsonValue* rows = report.Find("rows");
   std::cout << StrFormat("\nbench \"%s\": %zu rows\n", report.Str("bench").c_str(),
                          rows != nullptr ? rows->items.size() : 0);
   if (rows == nullptr) {
     return;
   }
-  for (const JValue& row : rows->items) {
+  for (const JsonValue& row : rows->items) {
     std::string line;
     for (const auto& [key, value] : row.fields) {
-      if (!line.empty()) {
-        line += "  ";
-      }
-      line += key + "=";
-      line += value.kind == JValue::Kind::kNumber ? FormatValue(value.number) : value.text;
+      line += (line.empty() ? "" : "  ") + key + "=" +
+              (value.kind == JsonValue::Kind::kNumber ? FormatValue(value.number) : value.text);
     }
     std::cout << "  " << line << "\n";
   }
@@ -627,26 +328,22 @@ int AnalyzeFile(const std::string& path, int top_n) {
   std::cout << "==== " << path << " ====\n";
 
   // Whole-file JSON document (BENCH_*.json, Chrome traces)?
-  {
-    JValue document;
-    JParser parser(content);
-    if (parser.Parse(&document) && document.kind == JValue::Kind::kObject) {
-      if (document.Find("bench") != nullptr) {
-        PrintBench(document);
-        return 0;
-      }
-      if (document.Find("traceEvents") != nullptr) {
-        const JValue* trace_events = document.Find("traceEvents");
-        std::cout << StrFormat("\nChrome trace with %zu events (open in chrome://tracing); "
-                               "not analyzed further\n",
-                               trace_events->items.size());
-        return 0;
-      }
+  JsonValue document;
+  if (JsonParse(content, &document) && document.kind == JsonValue::Kind::kObject) {
+    if (document.Find("bench") != nullptr) {
+      PrintBench(document);
+      return 0;
+    }
+    if (const JsonValue* trace_events = document.Find("traceEvents")) {
+      std::cout << StrFormat("\nChrome trace with %zu events (open in chrome://tracing); "
+                             "not analyzed further\n",
+                             trace_events->items.size());
+      return 0;
     }
   }
 
   // JSONL: parse every non-empty line.
-  std::vector<JValue> records;
+  std::vector<JsonValue> records;
   std::istringstream lines(content);
   std::string line;
   size_t line_number = 0;
@@ -655,9 +352,8 @@ int AnalyzeFile(const std::string& path, int top_n) {
     if (line.empty()) {
       continue;
     }
-    JValue record;
-    JParser parser(line);
-    if (!parser.Parse(&record) || record.kind != JValue::Kind::kObject) {
+    JsonValue record;
+    if (!JsonParse(line, &record) || record.kind != JsonValue::Kind::kObject) {
       std::cerr << "hfstat: " << path << ":" << line_number << ": malformed JSON line\n";
       return 2;
     }
@@ -668,11 +364,14 @@ int AnalyzeFile(const std::string& path, int top_n) {
     return 0;
   }
 
-  const JValue& head = records.front();
+  const JsonValue& head = records.front();
   if (head.Find("kind") != nullptr && head.Find("seq") != nullptr) {
     PrintSeqEvents(records, top_n);
   } else if (head.Find("req") != nullptr && head.Find("outcome") != nullptr) {
-    PrintServingRequests(records);
+    if (!PrintServingRequests(records)) {
+      std::cerr << "hfstat: " << path << ": unknown serving outcome\n";
+      return 2;
+    }
   } else if (head.Find("name") != nullptr && head.Find("type") != nullptr) {
     PrintMetrics(records);
   } else if (head.Find("iteration") != nullptr) {
