@@ -14,6 +14,7 @@
 // everywhere, and the bench exits nonzero if it does not.
 //
 // Emits BENCH_kernels.json with one row per (op, threads) configuration.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -137,6 +138,12 @@ double TimeReps(Fn&& fn) {
   return (NowMs() - start) / kReps;
 }
 
+// Middle element of an odd-sized sample.
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+  return values[values.size() / 2];
+}
+
 // One op fwd+bwd timed under the currently active SIMD tier. A case
 // builds its own fresh inputs (untimed), times kReps fwd+bwd iterations,
 // and returns every value the determinism contract covers (outputs ++
@@ -208,22 +215,41 @@ int Main() {
     Tensor qf, kf, qc, kc;
     make_inputs(qf, kf);
     make_inputs(qc, kc);
-    // Best-of-3 rounds per side, interleaved, so a stray scheduling blip
-    // on either side cannot decide the gate.
-    double fused_ms = 0.0;
-    double composed_ms = 0.0;
-    for (int round = 0; round < 3; ++round) {
-      const double f = TimeReps([&] {
+    // Interleaved pairs, alternating which side runs first. The gate reads
+    // the median of the per-pair composed/fused ratios, so neither a stray
+    // scheduling blip nor load drifting across the run can decide it.
+    constexpr int kGatePairs = 15;
+    const auto time_fused = [&] {
+      return TimeReps([&] {
         Tensor c = MatMulNT(qf, kf);
         Sum(c).Backward();
       });
-      const double c = TimeReps([&] {
-        Tensor c2 = MatMul(qc, Transpose(kc));
-        Sum(c2).Backward();
+    };
+    const auto time_composed = [&] {
+      return TimeReps([&] {
+        Tensor c = MatMul(qc, Transpose(kc));
+        Sum(c).Backward();
       });
-      fused_ms = round == 0 ? f : std::min(fused_ms, f);
-      composed_ms = round == 0 ? c : std::min(composed_ms, c);
+    };
+    std::vector<double> fused_runs;
+    std::vector<double> composed_runs;
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kGatePairs; ++pair) {
+      double f = 0.0;
+      double c = 0.0;
+      if (pair % 2 == 0) {
+        f = time_fused();
+        c = time_composed();
+      } else {
+        c = time_composed();
+        f = time_fused();
+      }
+      fused_runs.push_back(f);
+      composed_runs.push_back(c);
+      ratios.push_back(f > 0.0 ? c / f : 0.0);
     }
+    const double fused_ms = Median(fused_runs);
+    const double composed_ms = Median(composed_runs);
     // Bitwise capture on a single fwd+bwd from zeroed grads: the composed
     // form's dB detours through the transpose node's fresh zero buffer
     // each iteration (chain from zero, then one add into k.grad) while
@@ -243,7 +269,7 @@ int Main() {
                          BitwiseEq(qf.grad(), qc.grad()) &&
                          BitwiseEq(kf.grad(), kc.grad());
     deterministic = deterministic && bitwise;
-    const double speedup = fused_ms > 0.0 ? composed_ms / fused_ms : 0.0;
+    const double speedup = Median(ratios);
     std::cout << StrFormat("%-15s | %7s | %7.2f | %6.2fx | %s  (vs composed %.2f ms)\n",
                            "matmul_nt_fused", "auto", fused_ms, speedup, bitwise ? "yes" : "NO",
                            composed_ms);

@@ -168,7 +168,6 @@ int Main() {
           .Number("recomputed_tokens", static_cast<double>(continuous.stats.recomputed_tokens))
           .Number("prefix_skipped_tokens",
                   static_cast<double>(continuous.stats.prefix_skipped_tokens))
-          .Number("cow_splits", static_cast<double>(continuous.stats.cow_splits))
           .Number("shared_blocks_high_water",
                   static_cast<double>(continuous.stats.shared_blocks_high_water))
           .Number("ttft_p50_s", latency.ttft.p50)

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   config.scheduler.max_running = 4;  // Small replica: queueing is real.
   config.block_tokens = 4;
   config.seconds_per_step = 0.1;
-  ServingFrontend frontend(net, config, /*kv_ranks=*/1);
+  ServingFrontend frontend(net, config);
 
   std::cout << StrFormat("serving %zu requests (bursty, 2 tenants, deadline admission)\n\n",
                          trace.size());

@@ -258,14 +258,6 @@ int64_t KvBlockManager::PrefixHitBlocksReferenced(
   return referenced;
 }
 
-bool KvBlockManager::CanExtendSequence(int64_t sequence_id, int64_t resident_tokens) const {
-  const SequenceState& state = State(sequence_id);
-  const int64_t needed =
-      BlocksFor(std::max(resident_tokens, state.tokens)) -
-      static_cast<int64_t>(state.blocks.size());
-  return needed <= available_blocks();
-}
-
 bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens) {
   SequenceState& state = State(sequence_id);
   if (resident_tokens <= state.tokens) {
@@ -300,20 +292,6 @@ bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens
   return true;
 }
 
-void KvBlockManager::Fork(int64_t parent_id, int64_t child_id) {
-  HF_CHECK_MSG(tables_.count(child_id) == 0, "sequence " << child_id << " already exists");
-  const SequenceState& parent = State(parent_id);
-  SequenceState child;
-  child.tokens = parent.tokens;
-  child.hashes = parent.hashes;
-  child.blocks = parent.blocks;
-  for (int64_t block : child.blocks) {
-    Ref(block);
-  }
-  tables_.emplace(child_id, std::move(child));
-  NoteAllocation();
-}
-
 bool KvBlockManager::CanAdmit(int64_t prompt_tokens, int64_t reserve_tokens) const {
   HF_CHECK_GE(prompt_tokens, 0);
   HF_CHECK_GE(reserve_tokens, 0);
@@ -329,19 +307,6 @@ bool KvBlockManager::CanAdmitShared(int64_t resident_tokens, int64_t reserve_tok
   const int64_t tokens = std::max(resident_tokens, hit_tokens);
   return BlocksFor(tokens + reserve_tokens) - hit_count <=
          available_blocks() - EvictableHitBlocks(block_hashes, hit_count);
-}
-
-bool KvBlockManager::CanAppendToken(int64_t sequence_id) const {
-  const SequenceState& state = State(sequence_id);
-  const bool needs_block = state.tokens % config_.block_tokens == 0 &&
-                           BlocksFor(state.tokens + 1) > static_cast<int64_t>(state.blocks.size());
-  if (needs_block) {
-    return available_blocks() > 0;
-  }
-  // Writing into the tail block: a shared tail must copy-on-write split,
-  // which also needs one block.
-  const Block& tail = blocks_[state.blocks.back()];
-  return tail.refs == 1 || available_blocks() > 0;
 }
 
 bool KvBlockManager::AppendToken(int64_t sequence_id) {
@@ -362,28 +327,10 @@ bool KvBlockManager::AppendToken(int64_t sequence_id) {
     NoteAllocation();
     return true;
   }
+  // Prefix sharing shares only full prompt blocks, and an append at a
+  // block boundary allocates fresh, so the partial tail is always private.
   Block& tail = blocks_[state.blocks.back()];
-  if (tail.refs > 1) {
-    // First divergent write into a shared tail: copy-on-write split. The
-    // writer gets a private copy holding the same tokens; readers keep the
-    // original untouched. Full shared blocks are never written (appends at
-    // a boundary allocate fresh), so COW only ever hits the partial tail.
-    const int64_t block = AllocateBlock();
-    if (block < 0) {
-      return false;
-    }
-    Block& copy = blocks_[static_cast<size_t>(block)];
-    copy.refs = 1;
-    copy.tokens = tail.tokens;
-    ++used_blocks_;
-    Unref(state.blocks.back());
-    state.blocks.back() = block;
-    ++cow_splits_total_;
-    blocks_[static_cast<size_t>(block)].tokens += 1;
-    state.tokens += 1;
-    NoteAllocation();
-    return true;
-  }
+  HF_CHECK_EQ(tail.refs, 1);
   tail.tokens += 1;
   state.tokens += 1;
   return true;
@@ -440,12 +387,6 @@ double KvBlockManager::Occupancy() const {
     }
   }
   return static_cast<double>(live_tokens) / static_cast<double>(allocated_tokens);
-}
-
-int64_t KvBlockManager::CapacitySequences(int64_t tokens_per_sequence) const {
-  HF_CHECK_GT(tokens_per_sequence, 0);
-  const int64_t blocks_each = BlocksFor(tokens_per_sequence);
-  return blocks_each == 0 ? 0 : available_blocks() / blocks_each;
 }
 
 bool KvBlockManager::RefcountsConsistent() const {
@@ -505,143 +446,6 @@ bool KvBlockManager::RefcountsConsistent() const {
     }
   }
   return true;
-}
-
-DistributedKvManager::DistributedKvManager(int num_ranks, const KvBlockConfig& per_rank_config) {
-  HF_CHECK_GT(num_ranks, 0);
-  ranks_.reserve(static_cast<size_t>(num_ranks));
-  for (int rank = 0; rank < num_ranks; ++rank) {
-    ranks_.emplace_back(per_rank_config);
-  }
-}
-
-KvBlockManager& DistributedKvManager::rank(int index) {
-  HF_CHECK_GE(index, 0);
-  HF_CHECK_LT(static_cast<size_t>(index), ranks_.size());
-  return ranks_[static_cast<size_t>(index)];
-}
-
-const KvBlockManager& DistributedKvManager::rank(int index) const {
-  HF_CHECK_GE(index, 0);
-  HF_CHECK_LT(static_cast<size_t>(index), ranks_.size());
-  return ranks_[static_cast<size_t>(index)];
-}
-
-bool DistributedKvManager::AddSequence(int64_t sequence_id, int64_t prompt_tokens) {
-  return AddSequenceShared(sequence_id, prompt_tokens, {});
-}
-
-bool DistributedKvManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tokens,
-                                             const std::vector<uint64_t>& block_hashes) {
-  // All-or-nothing: ranks are symmetric and in lockstep, so either every
-  // rank can place the sequence or none can.
-  for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanAdmitShared(resident_tokens, 0, block_hashes)) {
-      return false;
-    }
-  }
-  for (KvBlockManager& manager : ranks_) {
-    HF_CHECK_MSG(manager.AddSequenceShared(sequence_id, resident_tokens, block_hashes),
-                 "symmetric ranks diverged while adding a sequence");
-  }
-  return true;
-}
-
-bool DistributedKvManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens) {
-  for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanExtendSequence(sequence_id, resident_tokens)) {
-      return false;
-    }
-  }
-  for (KvBlockManager& manager : ranks_) {
-    HF_CHECK_MSG(manager.ExtendSequence(sequence_id, resident_tokens),
-                 "symmetric ranks diverged while extending a sequence");
-  }
-  return true;
-}
-
-void DistributedKvManager::Fork(int64_t parent_id, int64_t child_id) {
-  for (KvBlockManager& manager : ranks_) {
-    manager.Fork(parent_id, child_id);
-  }
-}
-
-bool DistributedKvManager::AppendToken(int64_t sequence_id) {
-  // Either every rank can append (allocating or COW-splitting as needed)
-  // or none does.
-  for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanAppendToken(sequence_id)) {
-      return false;
-    }
-  }
-  for (KvBlockManager& manager : ranks_) {
-    HF_CHECK(manager.AppendToken(sequence_id));
-  }
-  return true;
-}
-
-void DistributedKvManager::FreeSequence(int64_t sequence_id) {
-  for (KvBlockManager& manager : ranks_) {
-    manager.FreeSequence(sequence_id);
-  }
-}
-
-void DistributedKvManager::FreeSequences(const std::vector<int64_t>& sequence_ids) {
-  for (KvBlockManager& manager : ranks_) {
-    manager.FreeSequences(sequence_ids);
-  }
-}
-
-bool DistributedKvManager::CanAdmit(int64_t prompt_tokens, int64_t reserve_tokens) const {
-  for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanAdmit(prompt_tokens, reserve_tokens)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DistributedKvManager::CanAdmitShared(int64_t resident_tokens, int64_t reserve_tokens,
-                                          const std::vector<uint64_t>& block_hashes) const {
-  for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanAdmitShared(resident_tokens, reserve_tokens, block_hashes)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int64_t DistributedKvManager::PrefixHitTokens(const std::vector<uint64_t>& block_hashes) const {
-  // Lockstep makes rank 0 authoritative for index contents.
-  return ranks_[0].PrefixHitTokens(block_hashes);
-}
-
-int64_t DistributedKvManager::high_water_blocks() const {
-  int64_t high_water = 0;
-  for (const KvBlockManager& manager : ranks_) {
-    high_water = std::max(high_water, manager.high_water_blocks());
-  }
-  return high_water;
-}
-
-bool DistributedKvManager::TablesInLockstep() const {
-  for (size_t rank = 1; rank < ranks_.size(); ++rank) {
-    if (ranks_[rank].num_sequences() != ranks_[0].num_sequences() ||
-        ranks_[rank].used_blocks() != ranks_[0].used_blocks() ||
-        ranks_[rank].shared_blocks() != ranks_[0].shared_blocks() ||
-        ranks_[rank].cached_blocks() != ranks_[0].cached_blocks()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double DistributedKvManager::total_used_bytes() const {
-  double total = 0.0;
-  for (const KvBlockManager& manager : ranks_) {
-    total += manager.used_bytes();
-  }
-  return total;
 }
 
 }  // namespace hybridflow

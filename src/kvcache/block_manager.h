@@ -1,11 +1,13 @@
 // Paged KVCache block manager (§7) with prefix sharing.
 //
 // vLLM manages the KV cache as fixed-size blocks with per-sequence block
-// tables (PagedAttention); the paper replaces its *centralized* manager
-// with a *distributed* one so each worker manages its own shard under the
-// multi-controller paradigm. On top of the paged allocator this module
-// layers the proven sharing shape of production engines (LLMInfer's
-// block_manager, SGLang-style RadixAttention prefix caching):
+// tables (PagedAttention). One KvBlockManager is the block table of one
+// generation replica: each of its t_g tensor-parallel ranks holds 1/t_g of
+// every block's bytes, which the per-GPU `bytes_per_token` models, so the
+// table itself is never replicated. Replicas own separate managers; there
+// is no central one. On top of the paged allocator this module layers the
+// proven sharing shape of production engines (LLMInfer's block_manager,
+// SGLang-style RadixAttention prefix caching):
 //
 //   * Ref-counted blocks — a physical block may appear in many sequences'
 //     block tables; it returns to circulation only when its last reference
@@ -14,10 +16,6 @@
 //     (chained over the token prefix, so equal hash => equal prefix) and
 //     are indexed; a new sequence whose leading blocks hit the index
 //     shares them instead of re-allocating and re-prefilling.
-//   * Copy-on-write forking — Fork() gives a child all of its parent's
-//     blocks by reference; the first divergent AppendToken into a shared
-//     block splits it (allocate + logical copy) so writers never perturb
-//     readers.
 //   * Cached-block retention — when prefix caching is enabled, a hashed
 //     block whose refcount drops to zero is *retained* in an LRU list
 //     instead of freed, so a later identical prompt still hits; retained
@@ -25,13 +23,6 @@
 //
 // Block lifecycle, refcount invariants, and the greedy-equivalence
 // contract under sharing are documented in docs/KVCACHE.md.
-//
-// Two managers:
-//   * KvBlockManager — one rank's allocator.
-//   * DistributedKvManager — the per-TP-group view: one KvBlockManager per
-//     participating rank, kept in lockstep because KV tensors are sharded
-//     (every rank holds 1/t_g of each token's KV, so block tables are
-//     replicated while bytes are divided).
 #ifndef SRC_KVCACHE_BLOCK_MANAGER_H_
 #define SRC_KVCACHE_BLOCK_MANAGER_H_
 
@@ -45,8 +36,8 @@ namespace hybridflow {
 
 struct KvBlockConfig {
   int64_t block_tokens = 16;       // Tokens per block (vLLM default 16).
-  int64_t num_blocks = 1024;       // Blocks available on this rank.
-  double bytes_per_token = 1024.0; // KV bytes per token on this rank's shard.
+  int64_t num_blocks = 1024;       // Blocks in the replica's pool.
+  double bytes_per_token = 1024.0; // KV bytes per token on one GPU's shard.
   // Prefix cache switch. Off (the default), hashes are ignored, blocks are
   // never shared or retained, and the manager behaves exactly like the
   // pre-sharing allocator.
@@ -102,12 +93,6 @@ class KvBlockManager {
   // chunk instead of all at admission.
   bool ExtendSequence(int64_t sequence_id, int64_t resident_tokens);
 
-  // Registers `child_id` sharing every one of `parent_id`'s blocks by
-  // reference (group sampling: n responses over one prompt prefill).
-  // Allocates nothing; the first divergent AppendToken copy-on-write
-  // splits the shared tail.
-  void Fork(int64_t parent_id, int64_t child_id);
-
   // Admission probe for schedulers: would a new sequence of
   // `prompt_tokens` fit right now with `reserve_tokens` of decode headroom
   // on top? Pure capacity check — allocates nothing.
@@ -117,16 +102,10 @@ class KvBlockManager {
   bool CanAdmitShared(int64_t resident_tokens, int64_t reserve_tokens,
                       const std::vector<uint64_t>& block_hashes) const;
 
-  // Appends one generated token. May allocate one block (at a block
-  // boundary) or copy-on-write split a shared tail block (first divergent
-  // write after Fork). Returns false on capacity exhaustion (sequence
-  // state unchanged).
+  // Appends one generated token, allocating one block at a block boundary.
+  // Returns false on capacity exhaustion (sequence state unchanged). The
+  // tail block it writes is never shared: only full prompt blocks are.
   bool AppendToken(int64_t sequence_id);
-  // Would AppendToken succeed right now? Pure probe (used by the
-  // distributed manager to keep ranks all-or-nothing).
-  bool CanAppendToken(int64_t sequence_id) const;
-  // Would ExtendSequence succeed right now? Pure probe.
-  bool CanExtendSequence(int64_t sequence_id, int64_t resident_tokens) const;
 
   // Drops all of a finished sequence's references. A block returns to the
   // free list when its last reference drops — unless it is hashed and the
@@ -165,14 +144,11 @@ class KvBlockManager {
   // Most blocks ever simultaneously referenced over this manager's
   // lifetime (high-water mark; never decreases).
   int64_t high_water_blocks() const { return high_water_blocks_; }
-  // Sequences that fit if each needs `tokens_per_sequence` in total.
-  int64_t CapacitySequences(int64_t tokens_per_sequence) const;
   // Blocks needed to hold `tokens` (ceiling division).
   int64_t BlocksFor(int64_t tokens) const;
 
   // Lifetime counters (docs/KVCACHE.md; surfaced as kvcache.* metrics).
   int64_t prefix_hit_tokens_total() const { return prefix_hit_tokens_total_; }
-  int64_t cow_splits_total() const { return cow_splits_total_; }
   int64_t evictions_total() const { return evictions_total_; }
   int64_t shared_blocks_high_water() const { return shared_blocks_high_water_; }
 
@@ -231,49 +207,7 @@ class KvBlockManager {
   int64_t high_water_blocks_ = 0;
   int64_t shared_blocks_high_water_ = 0;
   int64_t prefix_hit_tokens_total_ = 0;
-  int64_t cow_splits_total_ = 0;
   int64_t evictions_total_ = 0;
-};
-
-// The TP-group view: block tables replicated across ranks, bytes sharded.
-class DistributedKvManager {
- public:
-  // `ranks` managers share one logical cache; all must have identical
-  // block geometry.
-  DistributedKvManager(int num_ranks, const KvBlockConfig& per_rank_config);
-
-  int num_ranks() const { return static_cast<int>(ranks_.size()); }
-  KvBlockManager& rank(int index);
-  const KvBlockManager& rank(int index) const;
-
-  // Group-level operations keep every rank's tables in lockstep; they
-  // succeed only if every rank can allocate (all-or-nothing).
-  bool AddSequence(int64_t sequence_id, int64_t prompt_tokens);
-  bool AddSequenceShared(int64_t sequence_id, int64_t resident_tokens,
-                         const std::vector<uint64_t>& block_hashes);
-  bool ExtendSequence(int64_t sequence_id, int64_t resident_tokens);
-  void Fork(int64_t parent_id, int64_t child_id);
-  bool AppendToken(int64_t sequence_id);
-  void FreeSequence(int64_t sequence_id);
-  void FreeSequences(const std::vector<int64_t>& sequence_ids);
-
-  // True iff every rank can admit (symmetric geometry makes rank 0
-  // authoritative, but all ranks are probed to preserve the invariant).
-  bool CanAdmit(int64_t prompt_tokens, int64_t reserve_tokens) const;
-  bool CanAdmitShared(int64_t resident_tokens, int64_t reserve_tokens,
-                      const std::vector<uint64_t>& block_hashes) const;
-  // Ranks are in lockstep, so rank 0's prefix index is authoritative.
-  int64_t PrefixHitTokens(const std::vector<uint64_t>& block_hashes) const;
-  // Group high-water mark (max over ranks; ranks move in lockstep).
-  int64_t high_water_blocks() const;
-
-  // Invariant check: every rank holds identical block tables.
-  bool TablesInLockstep() const;
-
-  double total_used_bytes() const;
-
- private:
-  std::vector<KvBlockManager> ranks_;
 };
 
 }  // namespace hybridflow

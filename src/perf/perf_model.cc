@@ -1,7 +1,5 @@
 #include "src/perf/perf_model.h"
 
-#include "src/kvcache/block_manager.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -212,17 +210,14 @@ GenTimeBreakdown PerfModel::GenerateTime(const GenParallelConfig& gen,
   const int64_t seq_total = prompt_len + response_len;
   int64_t wave_batch = batch;
   if (use_kv_cache) {
-    // Capacity through the paged block manager (vLLM semantics): block-
-    // granular allocation slightly under-packs relative to raw bytes.
+    // Capacity of a fresh paged pool of 16-token blocks (vLLM semantics):
+    // block-granular allocation slightly under-packs relative to raw bytes.
+    constexpr int64_t kBlockTokens = 16;
     const double bytes_per_token = KvBytesPerTokenPerGpu(gen);
     if (bytes_per_token > 0.0 && kv_budget_bytes > 0.0) {
-      KvBlockConfig blocks;
-      blocks.block_tokens = 16;
-      blocks.bytes_per_token = bytes_per_token;
-      blocks.num_blocks = static_cast<int64_t>(
-          kv_budget_bytes / (static_cast<double>(blocks.block_tokens) * bytes_per_token));
-      const KvBlockManager manager(blocks);
-      wave_batch = std::clamp<int64_t>(manager.CapacitySequences(seq_total), 1, batch);
+      const int64_t num_blocks = static_cast<int64_t>(
+          kv_budget_bytes / (static_cast<double>(kBlockTokens) * bytes_per_token));
+      wave_batch = std::clamp<int64_t>(num_blocks / CeilDiv(seq_total, kBlockTokens), 1, batch);
     }
     out.waves = static_cast<int>(CeilDiv(batch, wave_batch));
     // Balance the batch across waves (a scheduler would): the wave count is

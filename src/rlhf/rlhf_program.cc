@@ -278,7 +278,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
     pretrain_data = dataset_->NextBatch(std::max<int64_t>(4, config_.real_batch / 4));
   }
 
-  const int total_updates = w.ppo_epochs * w.updates_per_iteration;
   for (int epoch = 0; epoch < w.ppo_epochs; ++epoch) {
     std::vector<DataBatch> minibatches;
     if (real && !batch.data.empty()) {
@@ -313,7 +312,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
       loss_count += 1;
     }
   }
-  (void)total_updates;
   }
   updates_applied_ += 1;
 
@@ -333,7 +331,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
     metrics.rollout_resumes = sim.resumes;
     metrics.rollout_recomputed_tokens = sim.recomputed_tokens;
     metrics.kvcache_prefix_skipped_tokens = sim.prefix_skipped_tokens;
-    metrics.kvcache_cow_splits = sim.cow_splits;
     metrics.kvcache_shared_blocks = sim.shared_blocks_high_water;
     const SeqLatencySummary& latency = actor.last_rollout_sim_latency();
     metrics.rollout_ttft_p50_s = latency.ttft.p50;
@@ -436,7 +433,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
                   static_cast<double>(metrics.rollout_recomputed_tokens))
           .Number("kvcache_prefix_skipped_tokens",
                   static_cast<double>(metrics.kvcache_prefix_skipped_tokens))
-          .Number("kvcache_cow_splits", static_cast<double>(metrics.kvcache_cow_splits))
           .Number("kvcache_shared_blocks", static_cast<double>(metrics.kvcache_shared_blocks))
           .Number("rollout_ttft_p50_s", metrics.rollout_ttft_p50_s)
           .Number("rollout_ttft_p90_s", metrics.rollout_ttft_p90_s)

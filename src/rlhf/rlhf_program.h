@@ -110,9 +110,8 @@ struct IterationMetrics {
   int64_t rollout_resumes = 0;
   int64_t rollout_recomputed_tokens = 0;
   // Prefix-sharing KV cache (docs/KVCACHE.md): prefill tokens skipped over
-  // cached prompt prefixes, copy-on-write splits, and peak shared blocks.
+  // cached prompt prefixes, and peak shared blocks.
   int64_t kvcache_prefix_skipped_tokens = 0;
-  int64_t kvcache_cow_splits = 0;
   int64_t kvcache_shared_blocks = 0;
   double rollout_ttft_p50_s = 0.0;
   double rollout_ttft_p90_s = 0.0;

@@ -33,7 +33,6 @@ void RolloutStats::Merge(const RolloutStats& other) {
   resumes += other.resumes;
   recomputed_tokens += other.recomputed_tokens;
   prefix_skipped_tokens += other.prefix_skipped_tokens;
-  cow_splits += other.cow_splits;
   shared_blocks_high_water = std::max(shared_blocks_high_water, other.shared_blocks_high_water);
 }
 
@@ -48,9 +47,8 @@ RolloutStats RolloutStatsCollector::Snapshot() const {
 }
 
 RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
-                             const RolloutOptions& options, int kv_ranks)
-    : net_(net), limits_(limits), options_(options), kv_ranks_(kv_ranks) {
-  HF_CHECK_GT(kv_ranks_, 0);
+                             const RolloutOptions& options)
+    : net_(net), limits_(limits), options_(options) {
   HF_CHECK_GT(options_.block_tokens, 0);
   HF_CHECK_GE(limits_.max_new_tokens, 0);
 }
@@ -73,7 +71,6 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   QuantileHistogram& tpot_us = registry.GetQuantileHistogram(
       "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, data);
   Counter& prefix_hits_total = registry.GetCounter("kvcache.prefix_hits_total", data);
-  Counter& cow_splits_total = registry.GetCounter("kvcache.cow_splits_total", data);
   Gauge& shared_blocks = registry.GetGauge("kvcache.shared_blocks", data);
   const size_t batch = prompts.size();
   RolloutShardResult result;
@@ -90,7 +87,6 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   config.kv.block_tokens = options_.block_tokens;
   config.kv.num_blocks = options_.num_blocks;
   config.kv.enable_prefix_cache = options_.enable_prefix_cache;
-  config.kv_ranks = kv_ranks_;
   config.event_log = options_.event_log;
   config.on_step = [&](const StepPlan& plan, double utilization) {
     running_batch.Observe(static_cast<double>(plan.rows()));
@@ -116,9 +112,7 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   result.responses = std::move(backend.responses());
   result.log_probs = std::move(backend.log_probs());
   result.stats = driver.Stats();
-  const KvBlockManager& rank0 = driver.kv().rank(0);
-  prefix_hits_total.Increment(static_cast<double>(rank0.prefix_hit_tokens_total()));
-  cow_splits_total.Increment(static_cast<double>(result.stats.cow_splits));
+  prefix_hits_total.Increment(static_cast<double>(driver.kv().prefix_hit_tokens_total()));
   shared_blocks.Set(static_cast<double>(result.stats.shared_blocks_high_water));
   if (options_.event_log != nullptr) {
     // Wall-clock per-sequence latency distributions for this shard's run.

@@ -3,7 +3,7 @@
 // Runs a closed batch of prompts through the StepDriver's data backend
 // (src/rollout/step_driver.h): the real PolicyNet over dynamically composed
 // batches (mixed prefill + decode rows chosen by RolloutScheduler against a
-// real DistributedKvManager). The per-row forward is independent of batch
+// real KvBlockManager). The per-row forward is independent of batch
 // composition and token selection goes through the shared SampleLogitsRow,
 // so greedy decoding produces bitwise-identical responses and log-probs to
 // the static path regardless of schedule, admission order, or preemption.
@@ -94,7 +94,7 @@ struct RolloutStats {
   int64_t queue_wait_steps_total = 0;  // Enqueue -> first admission.
   int64_t queue_wait_steps_max = 0;
   int64_t kv_high_water_blocks = 0;
-  double kv_peak_utilization = 0.0;  // used/num_blocks peak (rank 0).
+  double kv_peak_utilization = 0.0;  // used/num_blocks peak.
   // Chunked prefill: partial (non-completing) chunks scheduled, and the
   // largest per-step prefill token total.
   int64_t prefill_chunks = 0;
@@ -104,10 +104,8 @@ struct RolloutStats {
   int64_t resumes = 0;
   int64_t recomputed_tokens = 0;
   // Prefix-sharing KV cache: prefill compute skipped over cached prompt
-  // prefixes, copy-on-write splits of shared tail blocks, and the peak
-  // number of physically shared blocks (rank 0).
+  // prefixes, and the peak number of physically shared blocks.
   int64_t prefix_skipped_tokens = 0;
-  int64_t cow_splits = 0;
   int64_t shared_blocks_high_water = 0;
 
   void Merge(const RolloutStats& other);
@@ -133,11 +131,9 @@ struct RolloutShardResult {
 
 class RolloutEngine {
  public:
-  // `net` is borrowed (read-only); `kv_ranks` is the tensor-parallel degree
-  // of the generation strategy — the DistributedKvManager keeps that many
-  // block tables in lockstep, as the paper's distributed KV manager does.
+  // `net` is borrowed (read-only).
   RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
-                const RolloutOptions& options, int kv_ranks);
+                const RolloutOptions& options);
 
   // Generates one response per prompt. `rng` seeds per-sequence streams
   // for sampling mode; greedy decoding never draws from it.
@@ -148,7 +144,6 @@ class RolloutEngine {
   const PolicyNet& net_;
   RolloutLimits limits_;
   RolloutOptions options_;
-  int kv_ranks_;
 };
 
 }  // namespace hybridflow

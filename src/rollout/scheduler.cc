@@ -7,7 +7,7 @@
 
 namespace hybridflow {
 
-RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, DistributedKvManager* kv,
+RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, KvBlockManager* kv,
                                    std::vector<RolloutSequence>* sequences)
     : config_(config), kv_(kv), sequences_(sequences) {
   HF_CHECK(kv_ != nullptr);
@@ -134,8 +134,7 @@ void RolloutScheduler::ExpireOverdue() {
 }
 
 int64_t RolloutScheduler::BlocksNeededForRunning() const {
-  const KvBlockManager& rank0 = kv_->rank(0);
-  const int64_t block_tokens = rank0.config().block_tokens;
+  const int64_t block_tokens = kv_->config().block_tokens;
   // Mirrors BeginStep's plan-building loop: same running order, same
   // budget accounting, so the preemption pass reserves exactly the blocks
   // the plan will then take.
@@ -160,7 +159,7 @@ int64_t RolloutScheduler::BlocksNeededForRunning() const {
     budget -= grant;
     const int64_t resident_target =
         std::max(sequence.kv_tokens, sequence.prefill_computed + grant);
-    needed += rank0.BlocksFor(resident_target) - rank0.BlocksFor(sequence.kv_tokens);
+    needed += kv_->BlocksFor(resident_target) - kv_->BlocksFor(sequence.kv_tokens);
   }
   return needed;
 }
@@ -224,19 +223,18 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   const int64_t skip = std::min(hit_tokens, std::max<int64_t>(total - 1, 0));
   const int64_t grant = std::min(*budget, total - skip);
   // Full-length reservation gate: never commit the running set to more
-  // blocks than the rank holds, counting every member at its final length.
+  // blocks than the pool holds, counting every member at its final length.
   // Prefix blocks already referenced by live sequences are shared for free
   // and discounted; evictable hits are not (re-refing them drains the
   // reclaimable pool). An empty running set admits unconditionally — the
   // fit-alone-at-full-length contract guarantees progress.
   int64_t reservation = 0;
   if (config_.reserve_full_length) {
-    const KvBlockManager& rank0 = kv_->rank(0);
     const int64_t full_tokens = total + sequence.remaining_tokens();
     reservation = std::max<int64_t>(
-        rank0.BlocksFor(full_tokens) - rank0.PrefixHitBlocksReferenced(sequence.block_hashes), 0);
+        kv_->BlocksFor(full_tokens) - kv_->PrefixHitBlocksReferenced(sequence.block_hashes), 0);
     if (!running_.empty() &&
-        reserved_blocks_total_ + reservation > rank0.config().num_blocks) {
+        reserved_blocks_total_ + reservation > kv_->config().num_blocks) {
       return false;
     }
   }
@@ -252,7 +250,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   HF_CHECK(kv_->AddSequenceShared(id, resident_target, sequence.block_hashes));
   sequence.reserved_blocks = reservation;
   reserved_blocks_total_ += reservation;
-  sequence.kv_tokens = kv_->rank(0).SequenceTokens(id);
+  sequence.kv_tokens = kv_->SequenceTokens(id);
   sequence.prefill_computed = skip;
   sequence.prefix_skipped_tokens = skip;
   sequence.state = SequenceState::kPrefill;
@@ -369,7 +367,7 @@ StepPlan RolloutScheduler::BeginStep() {
   // incumbents fit (free-and-requeue). Recomputed after every eviction: a
   // preempted mid-prefill victim returns its chunk grant to the budget.
   while (!running_.empty() &&
-         BlocksNeededForRunning() > kv_->rank(0).available_blocks()) {
+         BlocksNeededForRunning() > kv_->available_blocks()) {
     Preempt(running_.back());
   }
 

@@ -6,11 +6,10 @@
 // policy), then admits waiting sequences in policy order while the
 // KvBlockManager accepts their full current context plus a configurable
 // token reserve. Admission and appends go through the *real*
-// DistributedKvManager, so capacity effects are block-granular, not
-// analytical.
+// KvBlockManager, so capacity effects are block-granular, not analytical.
 //
 // Contract: every enqueued sequence must fit alone at full length
-// (BlocksFor(prompt + target_new_tokens) <= num_blocks per rank);
+// (BlocksFor(prompt + target_new_tokens) <= num_blocks);
 // otherwise it would preempt itself forever. StepDriver sizes the cache
 // accordingly.
 #ifndef SRC_ROLLOUT_SCHEDULER_H_
@@ -68,7 +67,7 @@ struct RolloutSchedulerConfig {
   // Full-length admission reservations. When on, admission additionally
   // charges each candidate its block demand at full length (prompt +
   // target_new_tokens), discounted by prefix blocks already referenced by
-  // live sequences, against the rank's total block count; a candidate whose
+  // live sequences, against the pool's total block count; a candidate whose
   // reservation does not fit next to the running set's reservations waits.
   // Physical blocks are still acquired incrementally (chunked prefill), but
   // the scheduler never over-commits beyond what the running set will need
@@ -154,7 +153,7 @@ struct RolloutSchedulerStats {
 class RolloutScheduler {
  public:
   // `kv` and `sequences` are borrowed; ids index into *sequences.
-  RolloutScheduler(const RolloutSchedulerConfig& config, DistributedKvManager* kv,
+  RolloutScheduler(const RolloutSchedulerConfig& config, KvBlockManager* kv,
                    std::vector<RolloutSequence>* sequences);
 
   // Adds a waiting sequence (state must be kWaiting).
@@ -216,9 +215,9 @@ class RolloutScheduler {
   std::vector<int64_t> AdmissionOrder() const;
   // Weighted deficit round-robin admission over per-tenant FIFOs.
   void AdmitWeightedFair(StepPlan* plan, int64_t* budget);
-  // Blocks the running set needs this step on one rank: decode rows'
-  // boundary appends plus mid-prefill rows' residency extensions under
-  // this step's prefill budget (incremental residency).
+  // Blocks the running set needs this step: decode rows' boundary appends
+  // plus mid-prefill rows' residency extensions under this step's prefill
+  // budget (incremental residency).
   int64_t BlocksNeededForRunning() const;
   // Retires or appends one row that emitted a token this step.
   void CommitEmittedToken(int64_t id, const std::vector<int64_t>& eos_finished);
@@ -230,7 +229,7 @@ class RolloutScheduler {
   void RecordEvent(SeqEventKind kind, int64_t id, int64_t tokens, int64_t step);
 
   RolloutSchedulerConfig config_;
-  DistributedKvManager* kv_;
+  KvBlockManager* kv_;
   std::vector<RolloutSequence>* sequences_;
   std::deque<int64_t> waiting_;
   std::vector<int64_t> running_;  // Admission order: oldest first.

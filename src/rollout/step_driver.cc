@@ -31,7 +31,7 @@ StepDriver::StepDriver(const StepDriverConfig& config, std::vector<RolloutSequen
     : config_(config),
       sequences_(std::move(sequences)),
       arrivals_(std::move(arrivals)),
-      kv_(config.kv_ranks, SizedKvConfig(config.kv, sequences_)),
+      kv_(SizedKvConfig(config.kv, sequences_)),
       scheduler_(config.scheduler, &kv_, &sequences_) {
   const size_t count = sequences_.size();
   if (arrivals_.empty()) {
@@ -57,7 +57,7 @@ StepDriver::StepDriver(const StepDriverConfig& config, std::vector<RolloutSequen
 }
 
 double StepDriver::Utilization(int64_t used_blocks) const {
-  const int64_t num_blocks = kv_.rank(0).config().num_blocks;
+  const int64_t num_blocks = kv_.config().num_blocks;
   return num_blocks > 0 ? static_cast<double>(used_blocks) / static_cast<double>(num_blocks)
                         : 0.0;
 }
@@ -107,7 +107,6 @@ void StepDriver::Run(StepBackend& backend) {
   may_cancel_ = may_cancel_ || backend.MayRefuse();
   std::vector<int64_t> eos_finished;
   std::vector<int64_t> refused;
-  const KvBlockManager& rank0 = kv_.rank(0);
   AdmitArrivals();
   while (scheduler_.HasWork() || next_arrival_ < by_arrival_.size()) {
     if (!scheduler_.HasWork()) {
@@ -125,9 +124,9 @@ void StepDriver::Run(StepBackend& backend) {
     const StepPlan plan = scheduler_.BeginStep();
 
     // KV pressure right after admission is the step's peak residency.
-    peak_used_blocks_ = std::max(peak_used_blocks_, rank0.used_blocks());
+    peak_used_blocks_ = std::max(peak_used_blocks_, kv_.used_blocks());
     if (config_.on_step) {
-      config_.on_step(plan, Utilization(rank0.used_blocks()));
+      config_.on_step(plan, Utilization(kv_.used_blocks()));
     }
 
     now_ += backend.StepSeconds(plan, sequences_);
@@ -178,8 +177,7 @@ RolloutStats StepDriver::Stats() const {
   stats.prefix_skipped_tokens = scheduler_stats.prefix_skipped_tokens;
   stats.kv_high_water_blocks = kv_.high_water_blocks();
   stats.kv_peak_utilization = Utilization(peak_used_blocks_);
-  stats.cow_splits = kv_.rank(0).cow_splits_total();
-  stats.shared_blocks_high_water = kv_.rank(0).shared_blocks_high_water();
+  stats.shared_blocks_high_water = kv_.shared_blocks_high_water();
   for (const RolloutSequence& sequence : sequences_) {
     if (sequence.target_new_tokens == 0) {
       continue;

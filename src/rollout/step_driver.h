@@ -11,7 +11,7 @@
 //     contexts and forked RNGs) or sim (PerfModel prefill/decode/comm step
 //     cost).
 // The driver owns the KV geometry, the RolloutSequence table and the
-// RolloutScheduler. Per step it begins a plan, samples rank 0's KV residency,
+// RolloutScheduler. Per step it begins a plan, samples the KV residency,
 // charges the backend's step cost to the clock, lets the backend emit the
 // step's tokens at the step-end clock, commits, then admits arrivals and
 // applies cancellations. RolloutEngine::Run, ServingFrontend::Serve,
@@ -57,14 +57,13 @@ struct RequestArrival {
 struct StepDriverConfig {
   RolloutSchedulerConfig scheduler;
   // block_tokens, bytes_per_token and enable_prefix_cache are used as
-  // given. num_blocks is the per-rank budget, raised to fit the largest
+  // given. num_blocks is the replica's budget, raised to fit the largest
   // sequence alone (the scheduler's progress contract); 0 sizes the pool
   // to fit every sequence at full length.
   KvBlockConfig kv;
-  int kv_ranks = 1;
   // Lifecycle event sink (src/obs/seq_events.h); null disables recording.
   SeqEventLog* event_log = nullptr;
-  // Called right after every BeginStep with the plan and rank 0's KV
+  // Called right after every BeginStep with the plan and the KV
   // utilization; may be empty.
   std::function<void(const StepPlan&, double utilization)> on_step;
 };
@@ -107,7 +106,7 @@ class StepDriver {
 
   const std::vector<RolloutSequence>& sequences() const { return sequences_; }
   const RolloutScheduler& scheduler() const { return scheduler_; }
-  const DistributedKvManager& kv() const { return kv_; }
+  const KvBlockManager& kv() const { return kv_; }
   int64_t event_run() const { return event_run_; }
   double now() const { return now_; }  // Clock at drain.
   const RequestArrival& arrival(int64_t id) const { return arrivals_[static_cast<size_t>(id)]; }
@@ -120,13 +119,13 @@ class StepDriver {
   void AdmitArrivals();
   // Applies cancellation schedules and refusals between steps.
   void ApplyCancellations();
-  // `used_blocks` over rank 0's pool size (0 for an empty pool).
+  // `used_blocks` over the pool size (0 for an empty pool).
   double Utilization(int64_t used_blocks) const;
 
   StepDriverConfig config_;
   std::vector<RolloutSequence> sequences_;
   std::vector<RequestArrival> arrivals_;
-  DistributedKvManager kv_;
+  KvBlockManager kv_;
   RolloutScheduler scheduler_;
   int64_t event_run_ = 0;
   std::vector<int64_t> by_arrival_;  // Stable arrival order.
@@ -136,7 +135,7 @@ class StepDriver {
   std::vector<double> first_token_;
   std::vector<double> last_token_;
   double now_ = 0.0;
-  // Rank 0's peak used blocks right after BeginStep; Stats() turns it into
+  // Peak used blocks right after BeginStep; Stats() turns it into
   // the peak utilization (division is monotone, so this is exact).
   int64_t peak_used_blocks_ = 0;
 };

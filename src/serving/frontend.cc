@@ -8,10 +8,8 @@
 
 namespace hybridflow {
 
-ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config,
-                                 int kv_ranks)
-    : net_(net), config_(config), kv_ranks_(kv_ranks) {
-  HF_CHECK_GT(kv_ranks_, 0);
+ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config)
+    : net_(net), config_(config) {
   HF_CHECK_GT(config_.block_tokens, 0);
   HF_CHECK_GT(config_.seconds_per_step, 0.0);
 }
@@ -39,7 +37,6 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
   config.kv.block_tokens = config_.block_tokens;
   config.kv.num_blocks = config_.num_blocks;
   config.kv.enable_prefix_cache = config_.scheduler.prefix_cache;
-  config.kv_ranks = kv_ranks_;
   config.event_log = config_.event_log;
   DataStepBackend backend(net_, do_sample, temperature, config_.seconds_per_step,
                           /*eos_token=*/-1, on_token);

@@ -45,9 +45,8 @@ struct ServingFrontendConfig {
 
 class ServingFrontend {
  public:
-  // `net` is borrowed (read-only); `kv_ranks` mirrors the generation
-  // strategy's tensor-parallel degree as in RolloutEngine.
-  ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config, int kv_ranks);
+  // `net` is borrowed (read-only).
+  ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config);
 
   // Serves `requests` (ids must be dense 0..n-1 and equal each request's
   // position — RequestsFromTrace produces this; replayed by arrival time,
@@ -61,7 +60,6 @@ class ServingFrontend {
  private:
   const PolicyNet& net_;
   ServingFrontendConfig config_;
-  int kv_ranks_;
 };
 
 }  // namespace hybridflow

@@ -33,7 +33,7 @@ void FinishServing(const StepDriver& driver, ServingResult* result) {
   result->report = BuildServingReport(result->records);
   result->scheduler_stats = driver.scheduler().stats();
   result->kv_high_water_blocks = driver.kv().high_water_blocks();
-  result->kv_leaked_blocks = driver.kv().rank(0).used_blocks();
+  result->kv_leaked_blocks = driver.kv().used_blocks();
 }
 
 ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig& gen,

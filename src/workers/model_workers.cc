@@ -103,7 +103,7 @@ DataBatch ActorWorkerGroup::GenerateShard(const DataBatch& shard, bool do_sample
     limits.max_new_tokens = response_len;
     limits.use_eos = real_.task.use_eos;
     limits.eos_token = real_.task.eos_token();
-    RolloutEngine rollout_engine(*net_, limits, actor_.rollout, engine_->gen_config().tp);
+    RolloutEngine rollout_engine(*net_, limits, actor_.rollout);
     RolloutShardResult result =
         rollout_engine.Run(prompts, do_sample, actor_.temperature, rng);
     rollout_stats_.Add(result.stats);
@@ -197,7 +197,6 @@ double ActorWorkerGroup::GenerationSeconds(const RlhfWorkloadSpec& workload,
         {"rollout.sim_resumes", static_cast<double>(stats.resumes)},
         {"rollout.sim_recomputed_tokens", static_cast<double>(stats.recomputed_tokens)},
         {"kvcache.prefix_hits_total", static_cast<double>(stats.prefix_skipped_tokens)},
-        {"kvcache.cow_splits_total", static_cast<double>(stats.cow_splits)},
         {"kvcache.shared_blocks", static_cast<double>(stats.shared_blocks_high_water)},
         {"rollout.sim_ttft_p50_s", sim.latency.ttft.p50},
         {"rollout.sim_ttft_p90_s", sim.latency.ttft.p90},

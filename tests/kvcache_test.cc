@@ -84,7 +84,8 @@ TEST(KvBlockManagerTest, UsedBytesAndCapacity) {
   ASSERT_TRUE(manager.AddSequence(1, 8));
   EXPECT_DOUBLE_EQ(manager.used_bytes(), 2 * 4 * 100.0);
   // 6 free blocks; sequences of 12 tokens need 3 blocks -> 2 fit.
-  EXPECT_EQ(manager.CapacitySequences(12), 2);
+  EXPECT_EQ(manager.available_blocks(), 6);
+  EXPECT_EQ(manager.BlocksFor(12), 3);
 }
 
 // --- Admission control & rollout extensions -----------------------------------
@@ -157,54 +158,25 @@ TEST(KvBlockManagerTest, PreemptResumeCycleRecomputesAtFullContext) {
   EXPECT_EQ(manager.high_water_blocks(), 4);
 }
 
-TEST(DistributedKvManagerTest, CanAdmitAndBulkFreeStayInLockstep) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/4));
-  EXPECT_TRUE(manager.CanAdmit(16, 0));
-  EXPECT_FALSE(manager.CanAdmit(16, 1));
+// Failed appends and extensions leave the sequence exactly as it was: the
+// scheduler's preemption loop retries an append until it succeeds.
+TEST(KvBlockManagerTest, AllOrNothingOnExhaustion) {
+  KvBlockManager manager(SmallConfig(/*blocks=*/3));
   ASSERT_TRUE(manager.AddSequence(1, 8));
-  ASSERT_TRUE(manager.AddSequence(2, 4));
-  EXPECT_EQ(manager.high_water_blocks(), 3);
-  manager.FreeSequences({1, 2});
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(1).used_blocks(), 0);
-  EXPECT_EQ(manager.high_water_blocks(), 3);  // Peak survives the free.
-}
-
-// --- Distributed (TP-sharded) manager -----------------------------------------
-
-TEST(DistributedKvManagerTest, RanksStayInLockstep) {
-  DistributedKvManager manager(4, SmallConfig());
-  ASSERT_TRUE(manager.AddSequence(1, 6));
-  ASSERT_TRUE(manager.AppendToken(1));
-  ASSERT_TRUE(manager.AddSequence(2, 3));
-  EXPECT_TRUE(manager.TablesInLockstep());
-  manager.FreeSequence(1);
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).num_sequences(), 1);
-  EXPECT_EQ(manager.rank(3).num_sequences(), 1);
-}
-
-TEST(DistributedKvManagerTest, AllOrNothingOnExhaustion) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/2));
-  ASSERT_TRUE(manager.AddSequence(1, 8));
-  EXPECT_FALSE(manager.AppendToken(1));
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).SequenceTokens(1), 8);
-  EXPECT_EQ(manager.rank(1).SequenceTokens(1), 8);
-}
-
-TEST(DistributedKvManagerTest, BytesShardAcrossRanks) {
-  KvBlockConfig config = SmallConfig();
-  config.bytes_per_token = 50.0;  // Per-rank shard of a 200 B/token cache at t_g=4.
-  DistributedKvManager manager(4, config);
-  ASSERT_TRUE(manager.AddSequence(1, 4));
-  EXPECT_DOUBLE_EQ(manager.total_used_bytes(), 4 * 4 * 50.0);
+  ASSERT_TRUE(manager.AddSequence(2, 2));
+  EXPECT_FALSE(manager.AppendToken(1));       // Boundary, no block left.
+  EXPECT_FALSE(manager.ExtendSequence(2, 9));  // Needs 2 more blocks.
+  EXPECT_TRUE(manager.ExtendSequence(2, 4));   // Fills its own tail block.
+  EXPECT_EQ(manager.SequenceTokens(1), 8);
+  EXPECT_EQ(manager.BlockTable(1).size(), 2u);
+  EXPECT_EQ(manager.SequenceTokens(2), 4);
+  EXPECT_EQ(manager.used_blocks(), 3);
+  EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
 // Simulated generation loop: waves emerge from capacity, nothing leaks.
-TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/16, /*block_tokens=*/4));
+TEST(KvBlockManagerTest, WaveSchedulingDrainsEverything) {
+  KvBlockManager manager(SmallConfig(/*blocks=*/16, /*block_tokens=*/4));
   const int64_t prompt = 8;
   const int64_t response = 8;
   int64_t next = 0;
@@ -218,7 +190,7 @@ TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
     // decode loop never stalls mid-sequence (vLLM-style admission control).
     while (next < total_sequences &&
            (static_cast<int64_t>(active.size()) + 1) * blocks_per_full_sequence <=
-               manager.rank(0).config().num_blocks &&
+               manager.config().num_blocks &&
            manager.AddSequence(next, prompt)) {
       active.push_back(next);
       next += 1;
@@ -236,8 +208,8 @@ TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
     active.clear();
   }
   EXPECT_GT(waves, 1);  // Capacity forced batching into waves.
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(manager.TablesInLockstep());
+  EXPECT_EQ(manager.used_blocks(), 0);
+  EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
 // --- Prefix-sharing cache (docs/KVCACHE.md) -----------------------------------
@@ -368,55 +340,34 @@ TEST(KvCachePrefixTest, ReferencedHitsDoNotConsumeCapacity) {
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
-TEST(KvCacheCowTest, ForkSharesEverythingAndSplitsOnFirstDivergentWrite) {
+TEST(KvCachePrefixTest, AppendAfterSharedPrefixAllocatesFresh) {
+  // Only full prompt blocks are shared, and an append at a block boundary
+  // takes a fresh block, so a writer never touches a block another
+  // sequence reads.
   KvBlockManager manager(PrefixConfig(/*blocks=*/8));
-  ASSERT_TRUE(manager.AddSequence(1, 6));  // 2 blocks; tail holds 2 of 4.
-  manager.Fork(1, 2);
-  EXPECT_EQ(manager.used_blocks(), 2);  // The fork allocated nothing.
-  EXPECT_EQ(manager.shared_blocks(), 2);
-  EXPECT_EQ(manager.BlockTable(1), manager.BlockTable(2));
-  EXPECT_EQ(manager.SequenceTokens(2), 6);
-  // The child's first append writes into the shared partial tail: COW.
+  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6, 7, 8}, 4);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
+  ASSERT_TRUE(manager.AddSequenceShared(2, 8, hashes));
+  const std::vector<int64_t> reader = manager.BlockTable(1);
   ASSERT_TRUE(manager.AppendToken(2));
-  EXPECT_EQ(manager.cow_splits_total(), 1);
+  ASSERT_TRUE(manager.AppendToken(2));
   EXPECT_EQ(manager.used_blocks(), 3);
-  EXPECT_EQ(manager.BlockTable(1)[0], manager.BlockTable(2)[0]);  // Prefix intact.
-  EXPECT_NE(manager.BlockTable(1)[1], manager.BlockTable(2)[1]);  // Tail split.
-  EXPECT_EQ(manager.SequenceTokens(1), 6);  // Reader undisturbed.
-  EXPECT_EQ(manager.SequenceTokens(2), 7);
-  // The parent's tail is exclusively owned again: no further split.
-  ASSERT_TRUE(manager.AppendToken(1));
-  EXPECT_EQ(manager.cow_splits_total(), 1);
-  EXPECT_EQ(manager.used_blocks(), 3);
-  EXPECT_EQ(manager.shared_blocks(), 1);
-  EXPECT_TRUE(manager.RefcountsConsistent());
-  manager.FreeSequence(1);
-  manager.FreeSequence(2);
-  EXPECT_EQ(manager.used_blocks(), 0);
-  EXPECT_TRUE(manager.RefcountsConsistent());
-}
-
-TEST(KvCacheCowTest, CowSplitFailsCleanlyWhenPoolIsDry) {
-  KvBlockManager manager(PrefixConfig(/*blocks=*/2, /*block_tokens=*/4));
-  ASSERT_TRUE(manager.AddSequence(1, 6));  // Both blocks taken.
-  manager.Fork(1, 2);
-  // The split needs a block and none is free or evictable.
-  EXPECT_FALSE(manager.CanAppendToken(2));
-  EXPECT_FALSE(manager.AppendToken(2));
-  EXPECT_EQ(manager.SequenceTokens(2), 6);  // Unchanged on failure.
-  EXPECT_EQ(manager.cow_splits_total(), 0);
+  EXPECT_EQ(manager.shared_blocks(), 2);
+  EXPECT_EQ(manager.BlockTable(1), reader);
+  EXPECT_EQ(manager.SequenceTokens(1), 8);
+  EXPECT_EQ(manager.SequenceTokens(2), 10);
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
 TEST(KvCacheLeakTest, SharedLifecyclesReturnEveryBlock) {
-  // Interleaved shared admissions, forks, divergent appends, and frees in
-  // varying orders: physical usage must return to zero and the refcount
-  // audit must hold at every quiescent point.
+  // Interleaved shared admissions, divergent appends, and frees in varying
+  // orders: physical usage must return to zero and the refcount audit must
+  // hold at every quiescent point.
   KvBlockManager manager(PrefixConfig(/*blocks=*/16, /*block_tokens=*/2));
   const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6}, 2);
   ASSERT_TRUE(manager.AddSequenceShared(1, 6, hashes));
   ASSERT_TRUE(manager.AddSequenceShared(2, 6, hashes));
-  manager.Fork(2, 3);
+  ASSERT_TRUE(manager.AddSequenceShared(3, 6, hashes));
   ASSERT_TRUE(manager.AppendToken(1));  // New block (boundary).
   ASSERT_TRUE(manager.AppendToken(3));  // New block: 3 diverges from 2.
   ASSERT_TRUE(manager.RefcountsConsistent());
@@ -431,9 +382,10 @@ TEST(KvCacheLeakTest, SharedLifecyclesReturnEveryBlock) {
 }
 
 TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
-  // Property soak across seeds: random admits (shared and private), forks,
+  // Property soak across seeds: random shared admits, residency extensions,
   // appends, and frees against a tiny pool. After every operation the
-  // refcount/partition audit must hold; after the final drain nothing may
+  // refcount/partition audit must hold, and a failed extension or append
+  // must leave the sequence unchanged; after the final drain nothing may
   // remain referenced.
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     KvBlockManager manager(PrefixConfig(/*blocks=*/6, /*block_tokens=*/2));
@@ -459,16 +411,22 @@ TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
           }
           break;
         }
-        case 1: {  // Fork a random live sequence.
+        case 1: {  // Grow residency (chunked prefill); may fail on exhaustion.
           if (!live.empty()) {
-            manager.Fork(live[next() % live.size()], next_id);
-            live.push_back(next_id++);
+            const int64_t id = live[next() % live.size()];
+            const int64_t before = manager.SequenceTokens(id);
+            const int64_t target = before + 1 + static_cast<int64_t>(next() % 3);
+            const bool extended = manager.ExtendSequence(id, target);
+            EXPECT_EQ(manager.SequenceTokens(id), extended ? target : before);
           }
           break;
         }
-        case 2: {  // Append (may COW-split or fail on exhaustion).
+        case 2: {  // Append; may fail on exhaustion.
           if (!live.empty()) {
-            manager.AppendToken(live[next() % live.size()]);
+            const int64_t id = live[next() % live.size()];
+            const int64_t before = manager.SequenceTokens(id);
+            const bool appended = manager.AppendToken(id);
+            EXPECT_EQ(manager.SequenceTokens(id), before + (appended ? 1 : 0));
           }
           break;
         }
@@ -489,24 +447,6 @@ TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
     EXPECT_EQ(manager.used_blocks(), 0) << "seed " << seed;
     EXPECT_TRUE(manager.RefcountsConsistent()) << "seed " << seed;
   }
-}
-
-TEST(KvCacheDistributedTest, SharedAdmissionAndForkStayInLockstep) {
-  DistributedKvManager manager(2, PrefixConfig(/*blocks=*/8));
-  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6, 7, 8}, 4);
-  ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
-  ASSERT_TRUE(manager.AddSequenceShared(2, 8, hashes));
-  manager.Fork(2, 3);
-  ASSERT_TRUE(manager.AppendToken(3));  // Boundary append, all ranks.
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).shared_blocks(), manager.rank(1).shared_blocks());
-  manager.FreeSequences({1, 2, 3});
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(1).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(0).cached_blocks(), manager.rank(1).cached_blocks());
-  EXPECT_TRUE(manager.rank(0).RefcountsConsistent());
-  EXPECT_TRUE(manager.rank(1).RefcountsConsistent());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "src/baselines/system_builder.h"
 #include "src/mapping/device_mapper.h"
+#include "tests/golden_pins.h"
 
 namespace hybridflow {
 namespace {
@@ -153,6 +154,73 @@ TEST(DeviceMapperTest, SetsCoverDisjointDeviceRanges) {
     expected_first += set.gpus;
   }
   EXPECT_EQ(expected_first, 8);
+}
+
+uint64_t StringBits(const std::string& text) {
+  Fnv fnv;
+  for (char c : text) {
+    fnv.Mix(static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  return fnv.state;
+}
+
+const std::vector<Pin> kFig16MappingCases = {
+    {"7Bx16", 0x10a30b3f22c838afULL},
+    {"13Bx32", 0x78ef30f44b3fcf8cULL},
+};
+const std::vector<Pin> kFig16MappingFields = {
+    {"feasible", 0x581cd0fa58d99645ULL},
+    {"set", 0xb972f7b63a41008fULL},
+    {"model.actor", 0x25a88f1aed88c121ULL},
+    {"model.critic", 0xb35a031852154947ULL},
+    {"model.reference", 0xfe235e2fba9cfe97ULL},
+    {"model.reward", 0x95a6b3cb2beae81fULL},
+    {"est_iteration_seconds", 0xea48564ada2adc49ULL},
+    {"simulations", 0xad25e5c79b70a8b9ULL},
+    {"cache_hits", 0x5ec2adf1673dca1aULL},
+    {"placements_examined", 0x7830a97489bc6b05ULL},
+};
+
+// Algorithm 1's full result for the two smallest Fig 16 cases, bit for
+// bit: the chosen placement, every model's training and generation
+// strategy and stage estimates, and the search statistics (everything but
+// wall time).
+TEST(DeviceMapperTest, Fig16MappingsPinned) {
+  PinGrid grid;
+  for (const auto& [model, gpus] : {std::pair<const char*, int>{"7B", 16}, {"13B", 32}}) {
+    const ModelSpec spec = ModelSpec::ByName(model);
+    DeviceMapper mapper(DataflowModels(RlhfAlgorithm::kPpo, spec, spec), RlhfWorkloadSpec(),
+                        ClusterSpec::WithGpus(gpus));
+    const MappingResult result = mapper.Map(gpus);
+    grid.BeginCase(std::string(model) + "x" + std::to_string(gpus));
+    grid.Field("feasible", result.feasible);
+    for (const ColocatedSetResult& set : result.sets) {
+      Fnv fnv;
+      for (const std::string& name : set.model_names) {
+        fnv.Mix(StringBits(name));
+      }
+      fnv.Mix(static_cast<uint64_t>(set.gpus));
+      fnv.Mix(static_cast<uint64_t>(set.first_device));
+      grid.Field("set", fnv.state);
+    }
+    for (const auto& [name, mapping] : result.models) {
+      Fnv fnv;
+      fnv.Mix(static_cast<uint64_t>(mapping.feasible));
+      for (int v : {mapping.train.pp, mapping.train.tp, mapping.train.dp, mapping.gen.pp,
+                    mapping.gen.tp, static_cast<int>(mapping.backend)}) {
+        fnv.Mix(static_cast<uint64_t>(v));
+      }
+      for (double seconds : mapping.stage_seconds) {
+        fnv.Mix(Bits(seconds));
+      }
+      grid.Field("model." + name, fnv.state);
+    }
+    grid.Field("est_iteration_seconds", result.est_iteration_seconds);
+    grid.Field("simulations", result.simulations);
+    grid.Field("cache_hits", result.cache_hits);
+    grid.Field("placements_examined", result.placements_examined);
+  }
+  ExpectPins(grid, kFig16MappingCases, kFig16MappingFields);
 }
 
 }  // namespace

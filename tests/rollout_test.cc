@@ -59,7 +59,7 @@ std::vector<int64_t> PrefillIds(const StepPlan& plan) {
 // --- Scheduler ----------------------------------------------------------------
 
 TEST(RolloutSchedulerTest, FcfsAdmitsInArrivalOrder) {
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 6, 4}, /*target_new=*/4);
   RolloutScheduler scheduler({}, &kv, &sequences);
   for (int64_t id = 0; id < 3; ++id) {
@@ -68,11 +68,10 @@ TEST(RolloutSchedulerTest, FcfsAdmitsInArrivalOrder) {
   const StepPlan plan = scheduler.BeginStep();
   EXPECT_EQ(PrefillIds(plan), (std::vector<int64_t>{0, 1, 2}));
   EXPECT_TRUE(plan.decode.empty());
-  EXPECT_TRUE(kv.TablesInLockstep());
 }
 
 TEST(RolloutSchedulerTest, LongestPrefixFirstAdmitsLongestContext) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 6, 4, 6}, /*target_new=*/4);
   RolloutSchedulerConfig config;
   config.policy = RolloutPolicy::kLongestPrefixFirst;
@@ -89,7 +88,7 @@ TEST(RolloutSchedulerTest, LongestPrefixFirstBreaksTiesInArrivalOrder) {
   // All-equal contexts: the LPF comparator is indifferent for every pair,
   // so admission must be *exactly* the enqueue order — the stable-sort
   // tie-break contract the serving surface relies on for determinism.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4, 4}, /*target_new=*/4);
   RolloutSchedulerConfig config;
   config.policy = RolloutPolicy::kLongestPrefixFirst;
@@ -106,7 +105,7 @@ TEST(RolloutSchedulerTest, AdmissionGatedByKvCapacityWithoutBypass) {
   // 4 blocks of 4 tokens. Seq 0 (4 prompt + 1 reserve -> 2 blocks) fits;
   // seq 1 (12 prompt + 1 reserve -> 4 blocks > 3 free) does not. Seq 2
   // would fit, but strict priority must not let it bypass the queue head.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/4));
+  KvBlockManager kv(KvConfig(/*blocks=*/4));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 12, 2}, /*target_new=*/4);
   RolloutScheduler scheduler({}, &kv, &sequences);
   for (int64_t id = 0; id < 3; ++id) {
@@ -120,7 +119,7 @@ TEST(RolloutSchedulerTest, AdmissionGatedByKvCapacityWithoutBypass) {
 }
 
 TEST(RolloutSchedulerTest, MaxRunningCapsTheBatch) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/2);
   RolloutSchedulerConfig config;
   config.max_running = 2;
@@ -135,7 +134,7 @@ TEST(RolloutSchedulerTest, PreemptsYoungestAndDrainsEverything) {
   // 6 blocks of 2 tokens: one full sequence (2 prompt + 6 new = 4 blocks)
   // fits alone, two cannot both finish -> growth must force preemption,
   // and recompute-on-resume must still complete every sequence.
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/6, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
   RolloutScheduler scheduler({}, &kv, &sequences);
   for (int64_t id = 0; id < 4; ++id) {
@@ -154,26 +153,25 @@ TEST(RolloutSchedulerTest, PreemptsYoungestAndDrainsEverything) {
   }
   EXPECT_GT(scheduler.stats().preemptions, 0);
   EXPECT_GT(scheduler.stats().admissions, 4);  // Re-admissions happened.
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);      // Nothing leaked.
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);  // Nothing leaked.
 }
 
 TEST(RolloutSchedulerTest, EosFinishReleasesBlocksImmediately) {
   // Seq 1 holds 3 of a 4-token block, so its append allocates nothing this
   // step and the freed block of the EOS-finished seq 0 is visible.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/8));
+  KvBlockManager kv(KvConfig(/*blocks=*/8));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 3}, /*target_new=*/4);
   RolloutScheduler scheduler({}, &kv, &sequences);
   scheduler.Enqueue(0);
   scheduler.Enqueue(1);
   const StepPlan plan = scheduler.BeginStep();
   ASSERT_EQ(plan.rows(), 2);
-  const int64_t used_before = kv.rank(0).used_blocks();
+  const int64_t used_before = kv.used_blocks();
   scheduler.CommitStep(plan, /*eos_finished=*/{0});
   EXPECT_EQ(sequences[0].state, SequenceState::kFinished);
   EXPECT_EQ(sequences[0].generated, 1);  // The EOS token itself.
   EXPECT_EQ(sequences[1].state, SequenceState::kDecode);
-  EXPECT_LT(kv.rank(0).used_blocks(), used_before);
+  EXPECT_LT(kv.used_blocks(), used_before);
 }
 
 // --- Engine: greedy equivalence ----------------------------------------------
@@ -265,7 +263,7 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceUnderPreemption) {
       options.num_blocks = 7;  // One full sequence (<= 12 tokens) barely fits.
       options.prefill_chunk_tokens = chunk;
 
-      const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+      const RolloutEngine engine(net, limits, options);
       Rng engine_rng = rng.Fork(2);
       const RolloutShardResult got =
           engine.Run(prompts, /*do_sample=*/false, /*temperature=*/1.0, engine_rng);
@@ -352,7 +350,7 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceWithPrefixSharing) {
       options.enable_prefix_cache = true;
       options.reserve_full_length = seed % 3 == 0;
 
-      const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+      const RolloutEngine engine(net, limits, options);
       Rng engine_rng = rng.Fork(2);
       const RolloutShardResult got =
           engine.Run(prompts, /*do_sample=*/false, /*temperature=*/1.0, engine_rng);
@@ -394,7 +392,7 @@ TEST(RolloutEngineTest, GroupSamplingSkipsFollowerPromptPrefills) {
   RolloutOptions options;
   options.block_tokens = 2;
   options.enable_prefix_cache = true;  // Auto-sized KV: no preemption noise.
-  const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+  const RolloutEngine engine(net, limits, options);
   const int64_t n = 4;
   const std::vector<int64_t> prompt = {3, 1, 4, 1};
   const std::vector<std::vector<int64_t>> prompts(static_cast<size_t>(n), prompt);
@@ -422,7 +420,7 @@ TEST(RolloutSchedulerTest, PrefixSharingSurvivesPreemptionWithoutLeaks) {
   // and the refcount audit must hold with zero physical usage at the end.
   KvBlockConfig config = KvConfig(/*blocks=*/7, /*block_tokens=*/2);
   config.enable_prefix_cache = true;
-  DistributedKvManager kv(2, config);
+  KvBlockManager kv(config);
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4}, /*target_new=*/4);
   for (RolloutSequence& sequence : sequences) {
     sequence.block_hashes = GroupBlockHashes(/*group=*/7, /*full_blocks=*/2);
@@ -443,10 +441,8 @@ TEST(RolloutSchedulerTest, PrefixSharingSurvivesPreemptionWithoutLeaks) {
     EXPECT_EQ(sequence.generated, 4);
   }
   EXPECT_GT(scheduler.stats().prefix_skipped_tokens, 0);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(kv.rank(0).RefcountsConsistent());
-  EXPECT_TRUE(kv.rank(1).RefcountsConsistent());
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_TRUE(kv.RefcountsConsistent());
 }
 
 TEST(RolloutSchedulerTest, ReserveFullLengthEliminatesDecodePreemption) {
@@ -454,7 +450,7 @@ TEST(RolloutSchedulerTest, ReserveFullLengthEliminatesDecodePreemption) {
   // PreemptsYoungestAndDrainsEverything): full-length reservations instead
   // admit only what can finish, so the drain completes with zero
   // preemptions and zero recompute.
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/6, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
   RolloutSchedulerConfig config;
   config.reserve_full_length = true;
@@ -477,13 +473,13 @@ TEST(RolloutSchedulerTest, ReserveFullLengthEliminatesDecodePreemption) {
   EXPECT_EQ(scheduler.stats().preemptions, 0);
   EXPECT_EQ(scheduler.stats().resumes, 0);
   EXPECT_EQ(scheduler.stats().admissions, 4);  // First admissions only.
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
   KvBlockConfig kv_config = KvConfig(/*blocks=*/10, /*block_tokens=*/2);
   kv_config.enable_prefix_cache = true;
-  DistributedKvManager kv(1, kv_config);
+  KvBlockManager kv(kv_config);
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4}, /*target_new=*/8);
   for (RolloutSequence& sequence : sequences) {
     sequence.block_hashes = GroupBlockHashes(/*group=*/11, /*full_blocks=*/2);
@@ -505,7 +501,7 @@ TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
   EXPECT_EQ(scheduler.stats().cancelled, 1);
   // Seq 0's private tail freed; the shared prompt blocks stay referenced
   // by seq 1 (nothing evictable yet, nothing leaked).
-  EXPECT_TRUE(kv.rank(0).RefcountsConsistent());
+  EXPECT_TRUE(kv.RefcountsConsistent());
   int64_t guard = 0;
   while (scheduler.HasWork()) {
     ASSERT_LT(guard++, 1000);
@@ -514,9 +510,9 @@ TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
     scheduler.CommitStep(next, /*eos_finished=*/{});
   }
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_GT(kv.rank(0).cached_blocks(), 0);  // Prompt retained for hits.
-  EXPECT_TRUE(kv.rank(0).RefcountsConsistent());
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_GT(kv.cached_blocks(), 0);  // Prompt retained for hits.
+  EXPECT_TRUE(kv.RefcountsConsistent());
 }
 
 TEST(RolloutSchedulerTest, ExpiryMidPrefillReleasesResidencyWithoutLeaks) {
@@ -524,7 +520,7 @@ TEST(RolloutSchedulerTest, ExpiryMidPrefillReleasesResidencyWithoutLeaks) {
   // partial residency; its already-hashed full blocks are retained.
   KvBlockConfig kv_config = KvConfig(/*blocks=*/16, /*block_tokens=*/2);
   kv_config.enable_prefix_cache = true;
-  DistributedKvManager kv(1, kv_config);
+  KvBlockManager kv(kv_config);
   std::vector<RolloutSequence> sequences = MakeSequences({6, 2}, /*target_new=*/2);
   sequences[0].block_hashes = GroupBlockHashes(/*group=*/3, /*full_blocks=*/3);
   sequences[0].ttft_deadline = 0.5;
@@ -540,7 +536,7 @@ TEST(RolloutSchedulerTest, ExpiryMidPrefillReleasesResidencyWithoutLeaks) {
   ASSERT_FALSE(plan.prefill[0].completes);
   scheduler.CommitStep(plan, /*eos_finished=*/{});
   ASSERT_EQ(sequences[0].state, SequenceState::kPrefill);
-  ASSERT_GT(kv.rank(0).used_blocks(), 0);
+  ASSERT_GT(kv.used_blocks(), 0);
   // The clock passes the deadline before its first token: expired.
   scheduler.SetSimNow(1.0);
   plan = scheduler.BeginStep();
@@ -554,15 +550,15 @@ TEST(RolloutSchedulerTest, ExpiryMidPrefillReleasesResidencyWithoutLeaks) {
     scheduler.CommitStep(next, /*eos_finished=*/{});
   }
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_GT(kv.rank(0).cached_blocks(), 0);  // The expired row's full block.
-  EXPECT_TRUE(kv.rank(0).RefcountsConsistent());
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_GT(kv.cached_blocks(), 0);  // The expired row's full block.
+  EXPECT_TRUE(kv.RefcountsConsistent());
 }
 
 TEST(RolloutSchedulerTest, ChunkedPrefillRespectsBudgetAndDefersEmission) {
   // Budget 4 tokens/step over a 10-token prompt: three chunks (4+4+2); the
   // sequence must not emit a token until the last chunk completes.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({10}, /*target_new=*/3);
   RolloutSchedulerConfig config;
   config.prefill_chunk_tokens = 4;
@@ -601,7 +597,7 @@ TEST(RolloutSchedulerTest, ChunkedPrefillSharesBudgetAcrossAdmissions) {
   // Budget 6: the first prompt (4 tokens) completes within the step, the
   // second (5 tokens) gets the remaining 2 and catches up next step while
   // the first decodes alongside it.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 5}, /*target_new=*/4);
   RolloutSchedulerConfig config;
   config.prefill_chunk_tokens = 6;
@@ -637,7 +633,7 @@ TEST(RolloutEngineTest, AutoSizedCacheRunsWithoutPreemption) {
   const PolicyNet net(net_config, rng);
   RolloutLimits limits;
   limits.max_new_tokens = 4;
-  const RolloutEngine engine(net, limits, RolloutOptions{}, /*kv_ranks=*/1);
+  const RolloutEngine engine(net, limits, RolloutOptions{});
   Rng engine_rng(8);
   const std::vector<std::vector<int64_t>> prompts(8, std::vector<int64_t>{1, 2, 3});
   const RolloutShardResult result =
@@ -663,7 +659,7 @@ TEST(RolloutEngineTest, SamplingModeProducesValidPerSequenceOutput) {
   RolloutOptions options;
   options.block_tokens = 2;
   options.num_blocks = 6;  // Tight: schedules differ step to step.
-  const RolloutEngine engine(net, limits, options, /*kv_ranks=*/1);
+  const RolloutEngine engine(net, limits, options);
   const std::vector<std::vector<int64_t>> prompts(6, std::vector<int64_t>{4, 5});
   // Per-sequence forked streams: the same seed must reproduce the same
   // samples even though the schedule interleaves rows differently.
@@ -698,7 +694,7 @@ TEST(RolloutEngineTest, MetricsCountersAdvance) {
   RolloutOptions options;
   options.block_tokens = 2;
   options.num_blocks = 5;
-  const RolloutEngine engine(net, limits, options, /*kv_ranks=*/1);
+  const RolloutEngine engine(net, limits, options);
   Rng engine_rng(32);
   const std::vector<std::vector<int64_t>> prompts(5, std::vector<int64_t>{1, 2, 3, 4});
   const RolloutShardResult result =

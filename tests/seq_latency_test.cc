@@ -222,7 +222,7 @@ TEST(SeqLatencyTest, SchedulerHooksEmitOrderedLifecycleUnderPreemption) {
   // be well-formed (enqueue first, admit before tokens, preempts matched
   // by resumes, finish last) and the hook counters must agree with the
   // scheduler's own stats.
-  DistributedKvManager kv(2, TightKvConfig());
+  KvBlockManager kv(TightKvConfig());
   std::vector<RolloutSequence> sequences(4);
   for (int64_t id = 0; id < 4; ++id) {
     sequences[static_cast<size_t>(id)].id = id;
@@ -335,7 +335,7 @@ TEST(SeqLatencyTest, RecordingDoesNotPerturbGreedyDecode) {
   options.block_tokens = 2;
   options.num_blocks = 7;
 
-  const RolloutEngine plain_engine(net, limits, options, /*kv_ranks=*/2);
+  const RolloutEngine plain_engine(net, limits, options);
   Rng plain_rng = rng.Fork(2);
   const RolloutShardResult plain =
       plain_engine.Run(prompts, /*do_sample=*/false, /*temperature=*/1.0, plain_rng);
@@ -343,7 +343,7 @@ TEST(SeqLatencyTest, RecordingDoesNotPerturbGreedyDecode) {
   SeqEventLog log;
   RolloutOptions recording = options;
   recording.event_log = &log;
-  const RolloutEngine recorded_engine(net, limits, recording, /*kv_ranks=*/2);
+  const RolloutEngine recorded_engine(net, limits, recording);
   Rng recorded_rng = rng.Fork(2);
   const RolloutShardResult recorded =
       recorded_engine.Run(prompts, /*do_sample=*/false, /*temperature=*/1.0, recorded_rng);

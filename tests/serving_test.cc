@@ -188,7 +188,7 @@ TEST(ArrivalTraceTest, RateShapesMatchTheirEnvelope) {
 // --- Scheduler admission policies --------------------------------------------
 
 TEST(ServingSchedulerTest, PriorityAdmitsHigherFirstWithArrivalTies) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4}, /*target_new=*/2);
   sequences[0].priority = 0;
   sequences[1].priority = 7;
@@ -204,7 +204,7 @@ TEST(ServingSchedulerTest, PriorityAdmitsHigherFirstWithArrivalTies) {
 }
 
 TEST(ServingSchedulerTest, DeadlineAdmitsEarliestFirstAndDeadlineFreeLast) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4}, /*target_new=*/2);
   sequences[0].ttft_deadline = 0.0;  // No SLO: sorts last.
   sequences[1].ttft_deadline = 5.0;
@@ -223,7 +223,7 @@ TEST(ServingSchedulerTest, WeightedFairInterleavesPerDeficitRounds) {
   // Tenant 7 weighs 2.0, tenant 9 weighs 1.0, every context costs 4 tokens
   // and the quantum is 4: each round admits two of tenant 7's requests and
   // one of tenant 9's, starting at the cursor (tenant 7).
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4, 4, 4}, /*target_new=*/2);
   for (int64_t id : {0, 1, 2, 3}) {
     sequences[static_cast<size_t>(id)].tenant = 7;
@@ -246,7 +246,7 @@ TEST(ServingSchedulerTest, WeightedFairBlockedTenantDoesNotStarveOthers) {
   // Tenant 1's queue head (14 tokens -> 4 blocks + reserve) cannot fit
   // while tenant 0's small requests can: fair queueing must serve tenant 0
   // past the blocked tenant instead of stalling the whole admission.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/4));
+  KvBlockManager kv(KvConfig(/*blocks=*/4));
   std::vector<RolloutSequence> sequences = MakeSequences({14, 4, 4}, /*target_new=*/2);
   sequences[0].tenant = 1;
   sequences[1].tenant = 0;
@@ -266,7 +266,7 @@ TEST(ServingSchedulerTest, WeightedFairBlockedTenantDoesNotStarveOthers) {
 // --- Cancellation and expiry edge cases --------------------------------------
 
 TEST(ServingSchedulerTest, CancelWhileWaitingLeavesNoResidencyAndSkipsAdmission) {
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4}, /*target_new=*/2);
   RolloutScheduler scheduler({}, &kv, &sequences);
   scheduler.Enqueue(0);
@@ -278,15 +278,14 @@ TEST(ServingSchedulerTest, CancelWhileWaitingLeavesNoResidencyAndSkipsAdmission)
   EXPECT_EQ(sequences[0].state, SequenceState::kFinished);
   EXPECT_EQ(sequences[1].generated, 0);
   EXPECT_EQ(scheduler.stats().cancelled, 1);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, CancelMidPrefillChunkReturnsAllBlocks) {
   // Chunked prefill: seq 0's 8-token context enters compute 2 tokens per
   // step. Cancel after the first partial chunk, while its full context's
   // blocks are resident but prefill has not completed.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/16, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/16, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({8, 2}, /*target_new=*/2);
   RolloutSchedulerConfig config;
   config.prefill_chunk_tokens = 2;
@@ -298,22 +297,22 @@ TEST(ServingSchedulerTest, CancelMidPrefillChunkReturnsAllBlocks) {
   EXPECT_FALSE(plan.prefill[0].completes);  // Mid-chunk by construction.
   scheduler.CommitStep(plan, {});
   ASSERT_EQ(sequences[0].state, SequenceState::kPrefill);
-  const int64_t resident_before = kv.rank(0).used_blocks();
+  const int64_t resident_before = kv.used_blocks();
   EXPECT_GT(resident_before, 0);
   scheduler.Cancel(0);
   EXPECT_EQ(sequences[0].state, SequenceState::kCancelled);
   EXPECT_EQ(sequences[0].kv_tokens, 0);
-  EXPECT_LT(kv.rank(0).used_blocks(), resident_before);
+  EXPECT_LT(kv.used_blocks(), resident_before);
   Drain(scheduler);
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
   // Tight cache forces preemption; the victim sits in the waiting queue
   // with generated > 0 (recompute-on-resume). Cancelling it there must
   // remove it without touching KV (its blocks were freed at preemption).
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/6, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
   RolloutScheduler scheduler({}, &kv, &sequences);
   for (int64_t id = 0; id < 4; ++id) {
@@ -345,12 +344,11 @@ TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
       EXPECT_EQ(sequence.state, SequenceState::kFinished);
     }
   }
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, ExpiryRacesTheFinalTokenAtTheStepBoundary) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2}, /*target_new=*/2);
   sequences[0].ttft_deadline = 1.0;  // Served before the deadline: finishes.
   sequences[1].ttft_deadline = 1.0;  // Still tokenless past it: expires.
@@ -381,11 +379,11 @@ TEST(ServingSchedulerTest, ExpiryRacesTheFinalTokenAtTheStepBoundary) {
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
   EXPECT_EQ(scheduler.stats().expired, 1);
   EXPECT_FALSE(scheduler.HasWork());
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, ExpiryDrainingAllWorkReturnsAnEmptyPlan) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2}, /*target_new=*/2);
   sequences[0].ttft_deadline = 1.0;
   sequences[1].ttft_deadline = 1.0;
@@ -399,7 +397,7 @@ TEST(ServingSchedulerTest, ExpiryDrainingAllWorkReturnsAnEmptyPlan) {
   EXPECT_TRUE(plan.empty());
   EXPECT_FALSE(scheduler.HasWork());
   EXPECT_EQ(scheduler.stats().expired, 2);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 // --- Data-plane frontend: greedy equivalence ---------------------------------
@@ -437,7 +435,7 @@ std::vector<ServingRequest> TestRequests() {
 ServingResult ServeWith(const PolicyNet& net, const std::vector<ServingRequest>& requests,
                         const ServingFrontendConfig& config,
                         const StreamCallback& on_token = nullptr) {
-  ServingFrontend frontend(net, config, /*kv_ranks=*/2);
+  ServingFrontend frontend(net, config);
   Rng rng(999);  // Greedy decoding never draws from it.
   return frontend.Serve(requests, /*do_sample=*/false, /*temperature=*/1.0, rng, on_token);
 }

@@ -4,18 +4,12 @@
 // (data serving), plus the registry series they and
 // ActorWorkerGroup::GenerationSeconds emit.
 //
-// Every output field is reduced to its raw bits. A case pins one digest
-// over all of its fields; a field pins one digest over all cases of its
-// grid. On a mismatch the test names the first differing case and the
-// first differing field, and prints the full actual tables so an
-// intended change can be reviewed and re-pinned. Every constant is an
+// Pins work as described in tests/golden_pins.h. Every constant is an
 // exact output: a refactor of the step loop must reproduce all of them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -32,131 +26,18 @@
 #include "src/serving/frontend.h"
 #include "src/serving/sim.h"
 #include "src/workers/model_workers.h"
+#include "tests/golden_pins.h"
 
 namespace hybridflow {
 namespace {
 
-uint64_t Bits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-// FNV-1a over 64-bit words.
-struct Fnv {
-  uint64_t state = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      state ^= (word >> (8 * byte)) & 0xffU;
-      state *= 0x100000001b3ULL;
-    }
-  }
-};
-
-struct Pin {
-  std::string name;
-  uint64_t digest;
-};
-
-// Collects the per-field digests of every case of one grid.
-class PinGrid {
- public:
-  void BeginCase(const std::string& name) { cases_.push_back({name, {}}); }
-
-  void Field(const std::string& name, uint64_t digest) {
-    cases_.back().second.emplace_back(name, digest);
-  }
-  void Field(const std::string& name, double value) { Field(name, Bits(value)); }
-  void Field(const std::string& name, int64_t value) {
-    Field(name, static_cast<uint64_t>(value));
-  }
-  void Field(const std::string& name, int value) { Field(name, static_cast<int64_t>(value)); }
-  void Field(const std::string& name, bool value) { Field(name, static_cast<uint64_t>(value)); }
-
-  void Digest(const std::string& name, const LatencyDigest& digest) {
-    Field(name + ".count", static_cast<uint64_t>(digest.count));
-    Field(name + ".mean", digest.mean);
-    Field(name + ".p50", digest.p50);
-    Field(name + ".p90", digest.p90);
-    Field(name + ".p99", digest.p99);
-    Field(name + ".max", digest.max);
-  }
-
-  std::vector<Pin> CaseDigests() const {
-    std::vector<Pin> pins;
-    for (const auto& [name, fields] : cases_) {
-      Fnv fnv;
-      for (const auto& field : fields) {
-        fnv.Mix(field.second);
-      }
-      pins.push_back({name, fnv.state});
-    }
-    return pins;
-  }
-
-  // Fields in first-seen order; a case may leave out fields of others.
-  std::vector<Pin> FieldDigests() const {
-    std::vector<Pin> pins;
-    for (const auto& entry : cases_) {
-      for (const auto& [name, digest] : entry.second) {
-        size_t i = 0;
-        while (i < pins.size() && pins[i].name != name) {
-          ++i;
-        }
-        if (i == pins.size()) {
-          pins.push_back({name, Fnv().state});
-        }
-        Fnv fnv{pins[i].digest};
-        fnv.Mix(digest);
-        pins[i].digest = fnv.state;
-      }
-    }
-    return pins;
-  }
-
- private:
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, uint64_t>>>> cases_;
-};
-
-std::string FirstMismatch(const std::vector<Pin>& actual, const std::vector<Pin>& expected) {
-  for (size_t i = 0; i < actual.size() || i < expected.size(); ++i) {
-    if (i >= actual.size()) {
-      return "missing " + expected[i].name;
-    }
-    if (i >= expected.size()) {
-      return "unexpected " + actual[i].name;
-    }
-    if (actual[i].name != expected[i].name || actual[i].digest != expected[i].digest) {
-      return actual[i].name;
-    }
-  }
-  return "";
-}
-
-std::string Table(const char* label, const std::vector<Pin>& pins) {
-  std::ostringstream out;
-  out << label << " = {\n";
-  for (const Pin& pin : pins) {
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "0x%016llxULL",
-                  static_cast<unsigned long long>(pin.digest));
-    out << "    {\"" << pin.name << "\", " << digest << "},\n";
-  }
-  out << "};\n";
-  return out.str();
-}
-
-void ExpectPins(const PinGrid& grid, const std::vector<Pin>& cases,
-                const std::vector<Pin>& fields) {
-  const std::vector<Pin> actual_cases = grid.CaseDigests();
-  const std::vector<Pin> actual_fields = grid.FieldDigests();
-  const std::string bad_case = FirstMismatch(actual_cases, cases);
-  const std::string bad_field = FirstMismatch(actual_fields, fields);
-  EXPECT_TRUE(bad_case.empty() && bad_field.empty())
-      << "first differing case: " << (bad_case.empty() ? "(none)" : bad_case)
-      << "\nfirst differing field: " << (bad_field.empty() ? "(none)" : bad_field)
-      << "\nactual pins:\n"
-      << Table("cases", actual_cases) << Table("fields", actual_fields);
+void PinDigest(PinGrid* grid, const std::string& name, const LatencyDigest& digest) {
+  grid->Field(name + ".count", static_cast<uint64_t>(digest.count));
+  grid->Field(name + ".mean", digest.mean);
+  grid->Field(name + ".p50", digest.p50);
+  grid->Field(name + ".p90", digest.p90);
+  grid->Field(name + ".p99", digest.p99);
+  grid->Field(name + ".max", digest.max);
 }
 
 template <typename T, typename Fn>
@@ -215,7 +96,6 @@ void PinRolloutStats(PinGrid* grid, const RolloutStats& stats) {
   grid->Field("stats.resumes", stats.resumes);
   grid->Field("stats.recomputed_tokens", stats.recomputed_tokens);
   grid->Field("stats.prefix_skipped_tokens", stats.prefix_skipped_tokens);
-  grid->Field("stats.cow_splits", stats.cow_splits);
   grid->Field("stats.shared_blocks_high_water", stats.shared_blocks_high_water);
 }
 
@@ -371,32 +251,32 @@ void PinRolloutSim(PinGrid* grid, const std::string& name, const RolloutOptions&
   grid->Field("latency.finished", result.latency.finished);
   grid->Field("latency.preemptions", result.latency.preemptions);
   grid->Field("latency.recomputed_tokens", result.latency.recomputed_tokens);
-  grid->Digest("latency.ttft", result.latency.ttft);
-  grid->Digest("latency.tpot", result.latency.tpot);
-  grid->Digest("latency.queue_delay", result.latency.queue_delay);
-  grid->Digest("latency.preemption_stall", result.latency.preemption_stall);
+  PinDigest(grid, "latency.ttft", result.latency.ttft);
+  PinDigest(grid, "latency.tpot", result.latency.tpot);
+  PinDigest(grid, "latency.queue_delay", result.latency.queue_delay);
+  PinDigest(grid, "latency.preemption_stall", result.latency.preemption_stall);
   grid->Field("events", Events(events.Snapshot()));
 }
 
 const std::vector<Pin> kRolloutSimCases = {
-    {"chunk0/fcfs/tight/nocache", 0x7fd9aadc1612dd41ULL},
-    {"chunk0/fcfs/tight/cache", 0xd7d0b6f5a72a41ecULL},
-    {"chunk0/fcfs/ample/nocache", 0x615cd00eefaf9596ULL},
-    {"chunk0/fcfs/ample/cache", 0x06993f59ef524813ULL},
-    {"chunk0/longest_prefix/tight/nocache", 0xdb914cc34a1dcb53ULL},
-    {"chunk0/longest_prefix/tight/cache", 0xecf3ea3dfc187512ULL},
-    {"chunk0/longest_prefix/ample/nocache", 0x68b9d17a1cb8152aULL},
-    {"chunk0/longest_prefix/ample/cache", 0x3943da585800efa9ULL},
-    {"chunk64/fcfs/tight/nocache", 0xa063b3b8e3f8ffe0ULL},
-    {"chunk64/fcfs/tight/cache", 0xcebfc5a159b50effULL},
-    {"chunk64/fcfs/ample/nocache", 0xd76a7a7697fecc78ULL},
-    {"chunk64/fcfs/ample/cache", 0x6423b14e5ecd97b5ULL},
-    {"chunk64/longest_prefix/tight/nocache", 0x349092afd86c19efULL},
-    {"chunk64/longest_prefix/tight/cache", 0x3582a170add1184fULL},
-    {"chunk64/longest_prefix/ample/nocache", 0x0dc707f1efccfd64ULL},
-    {"chunk64/longest_prefix/ample/cache", 0x97b5b706fc710572ULL},
-    {"chunk64/fcfs/tight/cache/reserve_full_length", 0x4f94369cf7d53647ULL},
-    {"chunk0/fcfs/tight/nocache/max_running4", 0x6633cfdfef5c1f54ULL},
+    {"chunk0/fcfs/tight/nocache", 0xfe17efa733e7c641ULL},
+    {"chunk0/fcfs/tight/cache", 0xb4de1e6ee00b6c4cULL},
+    {"chunk0/fcfs/ample/nocache", 0xc97ca8359bf44d36ULL},
+    {"chunk0/fcfs/ample/cache", 0x21e5e9f9469cc7f3ULL},
+    {"chunk0/longest_prefix/tight/nocache", 0xc411131ea9cbf0d3ULL},
+    {"chunk0/longest_prefix/tight/cache", 0x7ad1544c5e5af032ULL},
+    {"chunk0/longest_prefix/ample/nocache", 0xc88f911e9d8787caULL},
+    {"chunk0/longest_prefix/ample/cache", 0xbfa3e73f4250ba89ULL},
+    {"chunk64/fcfs/tight/nocache", 0x3f94c5b355e84520ULL},
+    {"chunk64/fcfs/tight/cache", 0x27082a36122191bfULL},
+    {"chunk64/fcfs/ample/nocache", 0x49c9dbbb6cfe5b18ULL},
+    {"chunk64/fcfs/ample/cache", 0x1bed5927500d7bd5ULL},
+    {"chunk64/longest_prefix/tight/nocache", 0xd850f5bba69877afULL},
+    {"chunk64/longest_prefix/tight/cache", 0x64cdf351deac8c0fULL},
+    {"chunk64/longest_prefix/ample/nocache", 0x38b1ac1b4bae0964ULL},
+    {"chunk64/longest_prefix/ample/cache", 0x9d10b1e8529847b2ULL},
+    {"chunk64/fcfs/tight/cache/reserve_full_length", 0x48e84331c41f71e7ULL},
+    {"chunk0/fcfs/tight/nocache/max_running4", 0xa5c2bcec14a3eaf4ULL},
 };
 const std::vector<Pin> kRolloutSimFields = {
     {"time.prefill_seconds", 0x426e034ba1ed0ecfULL},
@@ -418,7 +298,6 @@ const std::vector<Pin> kRolloutSimFields = {
     {"stats.resumes", 0x54f1d674119bbf98ULL},
     {"stats.recomputed_tokens", 0xa6ca4327919fc61fULL},
     {"stats.prefix_skipped_tokens", 0xf1894d16fa310cf7ULL},
-    {"stats.cow_splits", 0xec32669a74fcae65ULL},
     {"stats.shared_blocks_high_water", 0xe7d5e7d8188496a1ULL},
     {"latency.sequences", 0x93b478632abc8305ULL},
     {"latency.finished", 0x93b478632abc8305ULL},
@@ -711,12 +590,12 @@ std::vector<std::vector<int64_t>> GoldenPrompts() {
 }
 
 const std::vector<Pin> kRolloutEngineCases = {
-    {"chunk0/nocache/tight/greedy", 0x31daeab824e738f9ULL},
-    {"chunk0/cache/tight/greedy", 0x961f9f916367cd90ULL},
-    {"chunk3/nocache/tight/greedy", 0xedba56a342e90d36ULL},
-    {"chunk3/cache/tight/greedy", 0x5c413e95483e0646ULL},
-    {"chunk0/nocache/ample/greedy", 0x465eded23f044115ULL},
-    {"chunk0/nocache/tight/sampled_lpf", 0xc92d28cbcd3d29fbULL},
+    {"chunk0/nocache/tight/greedy", 0x5217cb4e87a62139ULL},
+    {"chunk0/cache/tight/greedy", 0x64b90b1d66e508b0ULL},
+    {"chunk3/nocache/tight/greedy", 0xc4a29e7dfd5cb576ULL},
+    {"chunk3/cache/tight/greedy", 0x5f2abb788bba8d66ULL},
+    {"chunk0/nocache/ample/greedy", 0x9b4e63b6e23a0295ULL},
+    {"chunk0/nocache/tight/sampled_lpf", 0x51297ff5a585bcfbULL},
 };
 const std::vector<Pin> kRolloutEngineFields = {
     {"responses", 0xe76ab17318e1ca2dULL},
@@ -735,7 +614,6 @@ const std::vector<Pin> kRolloutEngineFields = {
     {"stats.resumes", 0xcf542f8bcafd0a81ULL},
     {"stats.recomputed_tokens", 0xea55497e1a6e5c37ULL},
     {"stats.prefix_skipped_tokens", 0x36a3392a50813fabULL},
-    {"stats.cow_splits", 0xa09d945a1cd8d6e5ULL},
     {"stats.shared_blocks_high_water", 0xddd5a5ef027e0c27ULL},
     {"events", 0x18608103c1e2ca14ULL},
 };
@@ -753,7 +631,7 @@ TEST(StepDriverGoldenTest, RolloutEnginePinned) {
     RolloutOptions options = base;
     options.mode = RolloutMode::kContinuous;
     options.event_log = &events;
-    const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+    const RolloutEngine engine(net, limits, options);
     Rng rng(31);
     const RolloutShardResult result = engine.Run(prompts, do_sample, /*temperature=*/0.8, rng);
     grid.BeginCase(name);
@@ -884,7 +762,7 @@ TEST(StepDriverGoldenTest, ServingFrontendPinned) {
         deltas.push_back(delta);
         return !(delta.request == 4 && delta.index == 1);
       };
-      ServingFrontend frontend(net, config, /*kv_ranks=*/2);
+      ServingFrontend frontend(net, config);
       Rng rng(999);
       const ServingResult result =
           frontend.Serve(requests, /*do_sample=*/false, /*temperature=*/1.0, rng, on_token);
@@ -962,7 +840,7 @@ void PinRegistryDelta(PinGrid* grid, const std::string& name, Fn&& fn,
 }
 
 const std::vector<Pin> kRegistryCases = {
-    {"rollout_engine", 0x275302ccbf993d87ULL},
+    {"rollout_engine", 0x03e87554d3b7a2a7ULL},
     {"serving_frontend", 0x95b42d7306804955ULL},
     {"sim_entry_points", 0xbc9fdc1b77fd5e8cULL},
 };
@@ -972,7 +850,6 @@ const std::vector<Pin> kRegistryFields = {
     {"rollout.admissions_total/plane=data", 0xa827fe322792187eULL},
     {"rollout.preemptions_total/plane=data", 0xa862443227c407b7ULL},
     {"kvcache.prefix_hits_total/plane=data", 0xa7fc5032276d68e9ULL},
-    {"kvcache.cow_splits_total/plane=data", 0xa8c7f832281a39c5ULL},
     {"serving.requests_total/plane=data", 0xa84d603227b1db41ULL},
     {"serving.finished_total/plane=data", 0xa85af83227bd67e5ULL},
     {"serving.cancelled_total/plane=data", 0xa8c83832281aa685ULL},
@@ -997,15 +874,14 @@ TEST(StepDriverGoldenTest, RegistrySeriesPinned) {
         options.block_tokens = 2;
         options.num_blocks = 9;
         options.enable_prefix_cache = true;
-        const RolloutEngine engine(net, limits, options, /*kv_ranks=*/1);
+        const RolloutEngine engine(net, limits, options);
         Rng rng(5);
         engine.Run(GoldenPrompts(), /*do_sample=*/false, 1.0, rng);
       },
       {{"rollout.steps_total", data},
        {"rollout.admissions_total", data},
        {"rollout.preemptions_total", data},
-       {"kvcache.prefix_hits_total", data},
-       {"kvcache.cow_splits_total", data}});
+       {"kvcache.prefix_hits_total", data}});
   const MetricLabels tenant0{{"plane", "serving"}, {"tenant", "0"}};
   const MetricLabels tenant1{{"plane", "serving"}, {"tenant", "1"}};
   PinRegistryDelta(
@@ -1015,7 +891,7 @@ TEST(StepDriverGoldenTest, RegistrySeriesPinned) {
         config.block_tokens = 2;
         config.num_blocks = 8;
         config.seconds_per_step = 0.05;
-        ServingFrontend frontend(net, config, /*kv_ranks=*/1);
+        ServingFrontend frontend(net, config);
         Rng rng(5);
         frontend.Serve(GoldenRequests(), /*do_sample=*/false, 1.0, rng);
       },
@@ -1042,7 +918,7 @@ TEST(StepDriverGoldenTest, RegistrySeriesPinned) {
 }
 
 const std::vector<Pin> kGenerationGaugeCases = {
-    {"ppo_7b_8gpu_continuous", 0x5ac50bf3a535775fULL},
+    {"ppo_7b_8gpu_continuous", 0x9d0750016c6fe69fULL},
 };
 const std::vector<Pin> kGenerationGaugeFields = {
     {"rollout.sim_steps", 0x746e0e344ee0566eULL},
@@ -1053,7 +929,6 @@ const std::vector<Pin> kGenerationGaugeFields = {
     {"rollout.sim_resumes", 0xa8c7f832281a39c5ULL},
     {"rollout.sim_recomputed_tokens", 0xa8c7f832281a39c5ULL},
     {"kvcache.prefix_hits_total", 0xa8c7f832281a39c5ULL},
-    {"kvcache.cow_splits_total", 0xa8c7f832281a39c5ULL},
     {"kvcache.shared_blocks", 0xa8c7f832281a39c5ULL},
     {"rollout.sim_ttft_p50_s", 0x8a4c61b3cfee3570ULL},
     {"rollout.sim_ttft_p90_s", 0xff20bff0f87228e4ULL},
@@ -1083,9 +958,9 @@ TEST(StepDriverGoldenTest, GenerationSecondsGaugesPinned) {
        {"rollout.sim_steps", "rollout.sim_preemptions", "rollout.sim_max_running_batch",
         "rollout.sim_kv_high_water_blocks", "rollout.sim_kv_peak_utilization",
         "rollout.sim_resumes", "rollout.sim_recomputed_tokens", "kvcache.prefix_hits_total",
-        "kvcache.cow_splits_total", "kvcache.shared_blocks", "rollout.sim_ttft_p50_s",
-        "rollout.sim_ttft_p90_s", "rollout.sim_ttft_p99_s", "rollout.sim_tpot_p50_s",
-        "rollout.sim_tpot_p90_s", "rollout.sim_tpot_p99_s"}) {
+        "kvcache.shared_blocks", "rollout.sim_ttft_p50_s", "rollout.sim_ttft_p90_s",
+        "rollout.sim_ttft_p99_s", "rollout.sim_tpot_p50_s", "rollout.sim_tpot_p90_s",
+        "rollout.sim_tpot_p99_s"}) {
     grid.Field(name, MetricsRegistry::Global().GetGauge(name, sim).Value());
   }
   ExpectPins(grid, kGenerationGaugeCases, kGenerationGaugeFields);

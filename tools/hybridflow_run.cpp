@@ -19,7 +19,8 @@
 //   run.real_compute  (false)    run.real_batch (32)    run.seed (1)
 //   run.arch          mlp | transformer (mlp) — toy policy architecture
 //   run.trace_path    write a Chrome trace JSON of the last iteration
-//   run.checkpoint_path  save a final checkpoint (real compute only)
+//   run.checkpoint_path  save a final checkpoint (requires run.real_compute)
+//   A run.trace_path or run.checkpoint_path that cannot be written exits 1.
 //   rollout.mode      static | continuous (static); rollout.policy,
 //   rollout.block_tokens, rollout.num_blocks, rollout.reserve_tokens,
 //   rollout.max_running, rollout.prefill_chunk_tokens (0 = off)
@@ -275,6 +276,12 @@ int Run(const ConfigMap& config) {
     std::cerr << "config error: " << config_error << "\n";
     std::exit(2);
   }
+  const std::string checkpoint_path = config.GetString("run.checkpoint_path");
+  if (!checkpoint_path.empty() && !build.real_compute) {
+    std::cerr << "config error: run.checkpoint_path requires run.real_compute=true: a "
+                 "simulation-only run has no weights to checkpoint\n";
+    std::exit(2);
+  }
 
   std::cout << "system=" << RlhfSystemName(build.system)
             << " algorithm=" << RlhfAlgorithmName(build.algorithm) << " gpus=" << build.num_gpus
@@ -358,16 +365,17 @@ int Run(const ConfigMap& config) {
     }
   }
 
+  int status = 0;
   const std::string trace_path = config.GetString("run.trace_path");
   if (!trace_path.empty()) {
     if (WriteChromeTrace(instance.controller->cluster(), trace_path)) {
       std::cout << "trace written to " << trace_path << " (open in chrome://tracing)\n";
     } else {
       std::cerr << "failed to write trace to " << trace_path << "\n";
+      status = 1;
     }
   }
-  const std::string checkpoint_path = config.GetString("run.checkpoint_path");
-  if (!checkpoint_path.empty() && build.real_compute) {
+  if (!checkpoint_path.empty()) {
     CheckpointManager manager;
     std::map<std::string, const PolicyNet*> nets;
     nets["actor"] = &instance.actor->net();
@@ -377,9 +385,12 @@ int Run(const ConfigMap& config) {
     manager.Capture(warmup + iterations, 0, nets);
     if (manager.SaveToFile(checkpoint_path)) {
       std::cout << "checkpoint written to " << checkpoint_path << "\n";
+    } else {
+      std::cerr << "failed to write checkpoint to " << checkpoint_path << "\n";
+      status = 1;
     }
   }
-  return 0;
+  return status;
 }
 
 }  // namespace
